@@ -11,18 +11,40 @@ multi-index convolution, and the ordinary product reduces to coordinatewise
 Hermite linearization.  Everything here is exact up to float rounding; the
 truncation order is a hard cap that raises OrderOverflowError rather than
 silently dropping terms.
+
+Products run on integer codes.  With K the common truncation and
+i_0 < i_1 < ... the coordinates that occur in the operands, a term alpha
+becomes (deg alpha, code(alpha), c_alpha) with the plain int
+
+    code(alpha) = sum_k alpha_{i_k} (K+1)^k.
+
+Every digit is at most K, so when deg alpha + deg beta <= K the sum of the
+codes is the code of alpha + beta, without a carry.  Python ints have no
+width limit, and coordinates nobody uses get no digit, so dim does not
+enter the cost.  The Wick product is then a convolution of codes in which
+each term of F visits only the degree-sorted prefix of G that fits under
+K.  The ordinary product uses the contraction-index form of Hermite
+linearization,
+
+    H_alpha H_beta = sum_{p <= alpha, beta} p! C(alpha,p) C(beta,p) H_{alpha+beta-2p}
+
+(factorials and binomials coordinatewise): for each p it is the same
+convolution applied to the terms of F and G lowered by p, and only the p
+below some term of each side occur.  MultiIndex objects are built only for
+output terms, decoding each code by divmod.  stransform.translate applies
+the Hermite shift to the same codes.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product as iter_product
+from bisect import bisect_right
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OrderOverflowError
-from .hermite import hermite_linearize, hermite_rows
+from .errors import DimensionMismatchError, DomainError, OrderOverflowError
+from .hermite import hermite_rows
 from .multiindex import EMPTY, MultiIndex
 from .sampling import SampleBatch
 from .tensors import SymTensor, ordered_count
@@ -69,6 +91,8 @@ class ChaosVector:
                 raise DimensionMismatchError(
                     f"multi-index {alpha} uses basis index >= dim {dim}")
             c = float(c)
+            if not math.isfinite(c):
+                raise DomainError(f"coefficient at {alpha} is {c}, not finite")
             if abs(c) > prune:
                 store[alpha] = c
         self._terms = store
@@ -255,7 +279,72 @@ def expectation(F: ChaosVector) -> float:
     return F._terms.get(EMPTY, 0.0)
 
 
-# -- products --------------------------------------------------------------
+# -- products (integer codes, see the module docstring) ---------------------
+
+def _digits(base: int, *vectors: ChaosVector) -> tuple[list[int], dict[int, int]]:
+    """The coordinates the vectors use, in increasing order, one code digit
+    each: returns them and the place value base^k of the k-th."""
+    coords = sorted({i for F in vectors for a in F._terms for i, _ in a.entries})
+    return coords, {i: base ** k for k, i in enumerate(coords)}
+
+
+def _coded(F: ChaosVector, place: dict[int, int]) -> list[tuple[int, int, float]]:
+    return [(a.degree, sum(m * place[i] for i, m in a.entries), c)
+            for a, c in F._terms.items()]
+
+
+def _convolve(fs, gs, order: int, out: dict[int, float]) -> None:
+    """Add c*d at code(alpha + beta) for every (deg alpha, code, c) in fs and
+    (deg beta, code, d) in gs with deg alpha + deg beta <= order.  gs must be
+    sorted by degree: each term of fs visits only the prefix that fits."""
+    degrees = [t[0] for t in gs]
+    get = out.get
+    for da, ca, c in fs:
+        for _, cb, d in gs[:bisect_right(degrees, order - da)]:
+            k = ca + cb
+            out[k] = get(k, 0.0) + c * d
+
+
+def _lowered(F: ChaosVector, place: dict[int, int], weight) -> dict[int, list]:
+    """Group F's terms by every contraction index p <= alpha.
+
+    Maps code(p) to the terms (deg alpha - |p|, code(alpha - p),
+    c_alpha * prod_i weight(alpha_i, p_i)); only p below some term occur.
+    """
+    groups: dict[int, list] = {}
+    for a, c in F._terms.items():
+        code = 0
+        subs = [(0, 0, 1)]  # (code(p), |p|, integer weight)
+        for i, m in a.entries:
+            w = place[i]
+            code += m * w
+            subs = [(pc + k * w, pd + k, pw * weight(m, k))
+                    for pc, pd, pw in subs for k in range(m + 1)]
+        for pc, pd, pw in subs:
+            groups.setdefault(pc, []).append((a.degree - pd, code - pc, c * pw))
+    return groups
+
+
+def _decoded(out: dict[int, float], base: int, coords: list[int], dim: int,
+             order: int, prune: float) -> ChaosVector:
+    terms: dict[MultiIndex, float] = {}
+    for code, c in out.items():
+        entries = []
+        k = 0
+        while code:
+            code, m = divmod(code, base)
+            if m:
+                entries.append((coords[k], m))
+            k += 1
+        terms[MultiIndex(entries)] = c
+    return ChaosVector(dim, order, terms, prune=prune)
+
+
+def _check_fits(F: ChaosVector, G: ChaosVector, order: int, what: str) -> None:
+    top = F.degree() + G.degree()
+    if top > order:
+        raise OrderOverflowError(f"{what} term degree {top} exceeds max_order {order}")
+
 
 def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
     """Wick product: multi-index convolution (F<>G)_gamma = sum c_alpha d_beta.
@@ -265,59 +354,57 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
     raising; the DSL session algebra uses that mode.
     """
     dim, order, prune = _common(F, G)
-    out: dict[MultiIndex, float] = {}
-    for a, c in F._terms.items():
-        for b, d in G._terms.items():
-            if a.degree + b.degree > order:
-                if clip:
-                    continue
-                raise OrderOverflowError(
-                    f"Wick term degree {a.degree + b.degree} exceeds max_order {order}")
-            g = a + b
-            out[g] = out.get(g, 0.0) + c * d
-    return ChaosVector(dim, order, out, prune=prune)
+    if not clip:
+        _check_fits(F, G, order, "Wick")
+    base = order + 1
+    coords, place = _digits(base, F, G)
+    out: dict[int, float] = {}
+    _convolve(_coded(F, place), sorted(_coded(G, place)), order, out)
+    return _decoded(out, base, coords, dim, order, prune)
 
 
 def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
     """Pointwise product, exact in the Hermite basis.
 
-    Coordinates are independent, so H_alpha * H_beta splits into a product
-    over coordinates of one-dimensional linearizations
-    H_a H_b = sum_p p! C(a,p) C(b,p) H_{a+b-2p}.
+    Coordinates are independent, so the one-dimensional linearization
+    H_a H_b = sum_p p! C(a,p) C(b,p) H_{a+b-2p} multiplies out to
+
+        H_alpha H_beta = sum_p p! C(alpha,p) C(beta,p) H_{alpha+beta-2p}
+
+    over contraction indices p <= alpha, beta, with p! and C taken
+    coordinatewise.  For each p the sum over the pairs is a Wick
+    convolution of F and G lowered by p, with weights p! C(alpha,p) on F's
+    side and C(beta,p) on G's.
     """
     dim, order, prune = _common(F, G)
-    out: dict[MultiIndex, float] = {}
-    for a, c in F._terms.items():
-        ea = dict(a.entries)
-        for b, d in G._terms.items():
-            if a.degree + b.degree > order and not clip:
-                raise OrderOverflowError(
-                    f"product term degree {a.degree + b.degree} exceeds max_order {order}")
-            eb = dict(b.entries)
-            coords = sorted(set(ea) | set(eb))
-            base = c * d
-            # per-coordinate expansions, then the cross product of choices
-            expansions = [list(hermite_linearize(ea.get(i, 0), eb.get(i, 0)).items())
-                          for i in coords]
-            for combo in iter_product(*expansions):
-                exps = {i: k for i, (k, _) in zip(coords, combo) if k}
-                gamma = MultiIndex.from_exponents(exps)
-                if gamma.degree > order:
-                    continue
-                w = base
-                for _, (_, coef) in zip(coords, combo):
-                    w *= coef
-                out[gamma] = out.get(gamma, 0.0) + w
-    return ChaosVector(dim, order, out, prune=prune)
+    if not clip:
+        _check_fits(F, G, order, "product")
+    base = order + 1
+    coords, place = _digits(base, F, G)
+    gs = _lowered(G, place, math.comb)
+    out: dict[int, float] = {}
+    for p, fs in _lowered(F, place, math.perm).items():
+        if p in gs:
+            _convolve(fs, sorted(gs[p]), order, out)
+    return _decoded(out, base, coords, dim, order, prune)
 
 
 def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:
-    """k-fold Wick product; F^{<>0} = 1."""
+    """k-fold Wick product by repeated squaring; F^{<>0} = 1.
+
+    Clipping the intermediate powers is exact: Wick products never lower a
+    degree, so a dropped term cannot feed a kept one.
+    """
     if k < 0:
         raise ValueError("Wick power needs k >= 0")
     out = ChaosVector.constant(1.0, F.dim, F.max_order)
-    for _ in range(k):
-        out = wick_product(out, F, clip=clip)
+    square = F
+    while k:
+        if k & 1:
+            out = wick_product(out, square, clip=clip)
+        k >>= 1
+        if k:
+            square = wick_product(square, square, clip=clip)
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import dsl
 from .chaos import (ChaosVector, add, evaluate_at, expectation,
                     exponential_vector, from_tensor, ordinary_product, scale,
-                    wick_product)
+                    wick_power, wick_product)
 from .checks import CHECKS, CheckRow, run_checks
 from .errors import WickChaosError
 from .renormalization import PolySeries, poly_add, poly_mul, poly_scale, wick_order_poly
@@ -98,10 +98,14 @@ class Session:
             return wick_product(left, right, clip=True)
         if isinstance(node, dsl.Pow):
             base = self.eval_expr(node.base)
+            if node.wick:
+                return wick_power(base, node.exponent, clip=True)
+            # Sequential on purpose: an ordinary product lowers degrees, so a
+            # term clipped from an intermediate power would feed kept terms
+            # of the next one, and squaring would change the clipped result.
             out = ChaosVector.constant(1.0, self.dim, self.max_order)
             for _ in range(node.exponent):
-                out = (wick_product(out, base, clip=True) if node.wick
-                       else ordinary_product(out, base, clip=True))
+                out = ordinary_product(out, base, clip=True)
             return out
         raise TypeError(f"cannot evaluate {type(node).__name__}")
 

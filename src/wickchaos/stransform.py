@@ -16,11 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosVector, evaluate
+from .chaos import ChaosVector, _coded, _decoded, _digits, evaluate
 from .errors import DimensionMismatchError
 from .hermite import hermite_shift
 from .montecarlo import Estimate, mean_estimate
-from .multiindex import MultiIndex
 
 
 def s_transform(F: ChaosVector, xi: Sequence[float]) -> float:
@@ -58,22 +57,24 @@ def translate(F: ChaosVector, y: Sequence[float]) -> ChaosVector:
     """tau_y F: the expansion of omega -> F(omega + y).
 
     S(tau_y F)(xi) = S(F)(xi + y); exactness is one of the library's
-    cross-checks.
+    cross-checks.  The shift acts on one coordinate at a time, on the
+    integer codes of chaos.py's product kernel.
     """
     if len(y) != F.dim:
         raise DimensionMismatchError(f"shift length {len(y)} != dim {F.dim}")
-    out: dict[MultiIndex, float] = {}
-    for alpha, c in F.items():
-        # shift each coordinate's Hermite factor, then cross-multiply
-        parts: list[list[tuple[int, int, float]]] = []
-        for i, m in alpha.entries:
-            shifted = hermite_shift(m, float(y[i]))
-            parts.append([(i, k, w) for k, w in shifted.items()])
-        stack: list[tuple[list[tuple[int, int]], float]] = [([], c)]
-        for options in parts:
-            stack = [(exps + ([(i, k)] if k else []), w * wt)
-                     for exps, w in stack for (i, k, wt) in options]
-        for exps, w in stack:
-            gamma = MultiIndex(tuple(exps))
-            out[gamma] = out.get(gamma, 0.0) + w
-    return ChaosVector(F.dim, F.max_order, out, prune=F.prune)
+    base = F.max_order + 1
+    coords, place = _digits(base, F)
+    terms = {code: c for _, code, c in _coded(F, place)}
+    for i in coords:
+        a = float(y[i])
+        if a == 0.0:
+            continue
+        w = place[i]
+        shifted: dict[int, float] = {}
+        for code, c in terms.items():
+            m = code // w % base
+            for n, h in hermite_shift(m, a).items():
+                k = code - (m - n) * w
+                shifted[k] = shifted.get(k, 0.0) + c * h
+        terms = shifted
+    return _decoded(terms, base, coords, F.dim, F.max_order, F.prune)

@@ -10,9 +10,11 @@ from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate,
                              from_tensor, gamma_norm, inner_product, l2_norm,
                              ordinary_product, scale, second_quantization,
                              to_tensor, wick_power, wick_product)
-from wickchaos.errors import (DimensionMismatchError, OrderOverflowError)
+from wickchaos.errors import (DimensionMismatchError, DomainError,
+                              OrderOverflowError)
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.sampling import sample_gaussians
+from wickchaos.stransform import translate
 from wickchaos.tensors import SymTensor, basis_tensor
 
 from helpers import chaos_to_callable, eval_chaos_ref, expect_nd
@@ -43,6 +45,23 @@ def test_constructor_validation():
     tiny = {MultiIndex([(0, 1)]): 1e-20}
     assert ChaosVector(1, 1, tiny).n_terms() == 0
     assert ChaosVector(1, 1, tiny, prune=0.0).n_terms() == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite(bad):
+    # |nan| > prune is False: unchecked, a NaN would vanish as if pruned
+    with pytest.raises(DomainError):
+        ChaosVector(1, 1, {MultiIndex([(0, 1)]): bad})
+    with pytest.raises(DomainError):
+        ChaosVector(1, 1, {MultiIndex([(0, 1)]): bad}, prune=0.0)
+
+
+def test_non_finite_translation_is_loud():
+    F = exponential_vector([0.3, 0.2], 3)
+    with pytest.raises(DomainError):
+        translate(F, [math.nan, 0.0])
+    with pytest.raises(DomainError):
+        translate(F, [math.inf, 0.0])
 
 
 def test_basic_constructors():
@@ -182,6 +201,38 @@ def test_wick_power():
     assert coeff_distance(wick_power(F, 2), wick_product(F, F)) < 1e-12
     assert coeff_distance(wick_power(F, 3),
                           wick_product(F, wick_product(F, F))) < 1e-10
+
+
+def _sequential_wick_power(F, k, clip=False):
+    out = ChaosVector.constant(1.0, F.dim, F.max_order)
+    for _ in range(k):
+        out = wick_product(out, F, clip=clip)
+    return out
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_wick_power_matches_sequential_product(clip):
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        F = random_chaos(rng, 2, 2, max_order=8 if clip else 18, n_terms=4)
+        for k in range(10):
+            want = _sequential_wick_power(F, k, clip)
+            scale_ = max((abs(c) for _, c in want.items()), default=1.0)
+            assert coeff_distance(wick_power(F, k, clip=clip), want) <= 1e-12 * scale_
+
+
+def test_wick_power_overflow_condition_unchanged():
+    # unclipped, both routes raise exactly when k deg F > max_order
+    F = ChaosVector(2, 8, {MultiIndex([(0, 1), (1, 1)]): 0.5, EMPTY: 1.0})
+    for k in range(10):
+        if 2 * k > 8:
+            with pytest.raises(OrderOverflowError):
+                wick_power(F, k)
+            with pytest.raises(OrderOverflowError):
+                _sequential_wick_power(F, k)
+        else:
+            wick_power(F, k)
+            _sequential_wick_power(F, k)
 
 
 def test_ordinary_product_pointwise():

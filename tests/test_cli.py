@@ -1,6 +1,7 @@
 """End-to-end CLI runs through a subprocess."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -137,6 +138,14 @@ def test_order_flag_controls_truncation():
     # E[x^4] = 3 needs the degree-4 part only for the H_4 term; clipping
     # at order 3 keeps the constant 3 from H_2 contractions
     assert json.loads(lines(proc)[0])["value"] == 3.0
+
+
+def test_wick_power_command():
+    # eps(f)<>^k = eps(k f), and S(eps(g))(xi) = exp(<g, xi>) truncated at the order
+    proc = run_cli("-c", "a = eps(0.001, -0.002)\nstransform a <>^ 1000, 0.5, -0.25")
+    assert proc.returncode == 0
+    want = sum(1.0 / math.factorial(n) for n in range(9))
+    assert abs(json.loads(lines(proc)[0])["value"] - want) <= 1e-12 * want
 
 
 def test_check_command_exits_clean():

@@ -1,0 +1,263 @@
+"""Products and translation against an exact-rational oracle.
+
+The oracle works on sparse maps {((i, m), ...): Fraction} and applies the
+coordinatewise definitions: a pair of basis elements multiplies coordinate
+by coordinate, and each one-dimensional factor is re-expanded in the
+Hermite basis from integer power-basis polynomials, never from the
+package's tables.  Every float converts to a Fraction exactly, so the only
+error left is the package's rounding; it must stay within 1e-14 of the sum
+of absolute contributions to each coefficient, which the oracle computes
+alongside.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wickchaos.chaos import (PRUNE_DEFAULT, ChaosVector, ordinary_product,
+                             wick_product)
+from wickchaos.errors import DimensionMismatchError, OrderOverflowError
+from wickchaos.multiindex import MultiIndex
+from wickchaos.stransform import translate
+
+REL = 1e-14
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+# -- the oracle ------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def hermite_poly(n):
+    """Integer power-basis coefficients of H_n, lowest degree first."""
+    prev, cur = (1,), (0, 1)
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        nxt = [0] + list(cur)
+        for j, c in enumerate(prev):
+            nxt[j] -= k * c
+        prev, cur = cur, tuple(nxt)
+    return cur
+
+
+def to_hermite(poly):
+    """Hermite coefficients {n: value} of a power-basis polynomial; H_n is
+    monic, so the leading term is peeled off one degree at a time."""
+    poly = list(poly)
+    out = {}
+    for n in range(len(poly) - 1, -1, -1):
+        c = poly[n]
+        if c:
+            out[n] = c
+            for j, h in enumerate(hermite_poly(n)):
+                poly[j] -= c * h
+    return out
+
+
+@lru_cache(maxsize=None)
+def linearize(a, b):
+    """H_a H_b in the Hermite basis, from the product of the polynomials."""
+    pa, pb = hermite_poly(a), hermite_poly(b)
+    prod = [0] * (a + b + 1)
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            prod[i + j] += x * y
+    return to_hermite(prod)
+
+
+def shift(n, a):
+    """H_n(x + a) in the Hermite basis of x, by expanding (x + a)^j."""
+    poly = [Fraction(0)] * (n + 1)
+    for j, h in enumerate(hermite_poly(n)):
+        for i in range(j + 1):
+            poly[i] += h * math.comb(j, i) * a ** (j - i)
+    return to_hermite(poly)
+
+
+def exact(F):
+    return {a.entries: Fraction(c) for a, c in F.items()}
+
+
+def combine(pairs, factor):
+    """Sum over (alpha, c), (beta, d) of c d factor(alpha, beta), where factor
+    yields (gamma, weight).  Returns the exact sums and the sums of
+    absolute contributions."""
+    val, mag = {}, {}
+    for (a, c), (b, d) in pairs:
+        for g, w in factor(a, b):
+            val[g] = val.get(g, 0) + c * d * w
+            mag[g] = mag.get(g, 0) + abs(c * d * w)
+    return val, mag
+
+
+def wick_factor(a, b):
+    counts = dict(a)
+    for i, m in b:
+        counts[i] = counts.get(i, 0) + m
+    yield tuple(sorted(counts.items())), 1
+
+
+def ordinary_factor(a, b):
+    ea, eb = dict(a), dict(b)
+    coords = sorted(set(ea) | set(eb))
+    options = [linearize(ea.get(i, 0), eb.get(i, 0)).items() for i in coords]
+    for combo in itertools.product(*options):
+        w = math.prod(c for _, c in combo)
+        yield tuple((i, n) for i, (n, _) in zip(coords, combo) if n), w
+
+
+def oracle_product(F, G, factor, clip):
+    order = max(F.max_order, G.max_order)
+    if not clip and F.n_terms() and G.n_terms() and F.degree() + G.degree() > order:
+        return None
+    pairs = itertools.product(exact(F).items(), exact(G).items())
+    val, mag = combine(pairs, factor)
+    keep = {g for g in val if sum(m for _, m in g) <= order}
+    return {g: val[g] for g in keep}, {g: mag[g] for g in keep}
+
+
+def oracle_translate(F, y):
+    val, mag = {}, {}
+    for a, c in exact(F).items():
+        options = [shift(m, Fraction(y[i])).items() for i, m in a]
+        for combo in itertools.product(*options):
+            w = c * math.prod(h for _, h in combo)
+            g = tuple((i, n) for (i, _), (n, _) in zip(a, combo) if n)
+            val[g] = val.get(g, 0) + w
+            mag[g] = mag.get(g, 0) + abs(w)
+    return val, mag
+
+
+def assert_matches(P, want, prune):
+    val, mag = want
+    got = {a.entries: c for a, c in P.items()}
+    assert set(got) <= set(val)
+    for g, v in val.items():
+        bound = REL * mag[g]
+        if g in got:
+            assert abs(Fraction(got[g]) - v) <= bound, (g, got[g], float(v))
+        else:  # pruned: the exact value is within the threshold
+            assert abs(v) <= prune + bound, (g, float(v))
+
+
+# -- generated inputs -------------------------------------------------------------
+
+def signed(lo, hi):
+    # Magnitudes stay far from underflow, where rounding is absolute.
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+# small integers make exact cancellations
+coeffs = st.one_of(st.integers(-3, 3).map(float), signed(1e-3, 4.0))
+
+
+@st.composite
+def vectors(draw, dim, max_order, indices=None):
+    index = st.sampled_from(indices if indices is not None else range(dim))
+    prune = draw(st.sampled_from((0.0, PRUNE_DEFAULT)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        deg = draw(st.integers(0, max_order))
+        alpha = MultiIndex.from_indices(draw(st.lists(index, min_size=deg, max_size=deg)))
+        terms[alpha] = draw(coeffs)
+    return ChaosVector(dim, max_order, terms, prune=prune)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two vectors of one dimension, each with its own max_order."""
+    if draw(st.integers(0, 5)) == 0:
+        # sparse over dim 70: far-apart coordinates
+        dim, indices = 70, [0, 3, 64, 67, 69]
+    else:
+        dim, indices = draw(st.integers(1, 5)), None
+    F = draw(vectors(dim, draw(st.integers(0, 5)), indices))
+    G = draw(vectors(dim, draw(st.integers(0, 5)), indices))
+    return F, G
+
+
+PRODUCTS = [(wick_product, wick_factor), (ordinary_product, ordinary_factor)]
+
+
+@pytest.mark.parametrize("product,factor", PRODUCTS, ids=["wick", "ordinary"])
+@pytest.mark.parametrize("clip", [False, True])
+@SETTINGS
+@given(pair=operand_pairs())
+def test_product_matches_exact_oracle(product, factor, clip, pair):
+    F, G = pair
+    want = oracle_product(F, G, factor, clip)
+    if want is None:
+        with pytest.raises(OrderOverflowError):
+            product(F, G, clip=clip)
+        return
+    P = product(F, G, clip=clip)
+    assert P.dim == F.dim and P.max_order == max(F.max_order, G.max_order)
+    assert P.prune == min(F.prune, G.prune)
+    assert_matches(P, want, P.prune)
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 5), order=st.integers(0, 6))
+def test_translate_matches_exact_oracle(data, dim, order):
+    F = data.draw(vectors(dim, order))
+    y = data.draw(st.lists(st.one_of(st.just(0.0), signed(1e-3, 2.0)),
+                           min_size=dim, max_size=dim))
+    T = translate(F, y)
+    assert T.max_order == F.max_order and T.prune == F.prune
+    assert_matches(T, oracle_translate(F, y), T.prune)
+
+
+def wide(order):
+    """Dim 70 with all coordinates in use: codes need 70 digits base 4."""
+    terms = {MultiIndex([(i, 1)]): (-1.0) ** i / (i + 1) for i in range(70)}
+    terms[MultiIndex([(0, 1), (69, 2)])] = 0.75
+    return ChaosVector(70, order, terms, prune=0.0)
+
+
+def test_wide_support_codes_exceed_64_bits():
+    assert 4 ** 69 > 2 ** 63
+    F, G = wide(3), wide(3)
+    for product, factor in PRODUCTS:
+        assert_matches(product(F, G, clip=True), oracle_product(F, G, factor, True), 0.0)
+    y = [0.5 - i / 70 for i in range(70)]
+    assert_matches(translate(F, y), oracle_translate(F, y), 0.0)
+
+
+@pytest.mark.parametrize("product", [wick_product, ordinary_product])
+def test_product_errors(product):
+    F = ChaosVector(2, 3, {MultiIndex([(0, 3)]): 1.0})
+    G = ChaosVector(2, 4, {MultiIndex([(1, 2)]): 1.0})
+    with pytest.raises(OrderOverflowError):  # 3 + 2 > max(3, 4)
+        product(F, G)
+    product(F, G, clip=True)
+    with pytest.raises(DimensionMismatchError):
+        product(F, ChaosVector(3, 4, {}), clip=True)
+    # an empty operand never overflows, whatever the other's degree
+    assert product(F, ChaosVector.zero(2, 0)).n_terms() == 0
+    with pytest.raises(DimensionMismatchError):
+        translate(F, [1.0])
+
+
+# -- repeatability and clip mode ------------------------------------------------
+
+def _copy(F):
+    return ChaosVector(F.dim, F.max_order, F.terms, prune=F.prune)
+
+
+@SETTINGS
+@given(data=st.data(), pair=operand_pairs())
+def test_results_repeat_bitwise_and_clip_never_raises(data, pair):
+    F, G = pair
+    for product in (wick_product, ordinary_product):
+        first = product(_copy(F), _copy(G), clip=True)
+        second = product(_copy(F), _copy(G), clip=True)
+        assert first == second
+        assert [a for a, _ in first.items()] == [a for a, _ in second.items()]
+    y = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=F.dim, max_size=F.dim))
+    assert translate(_copy(F), y) == translate(_copy(F), y)
