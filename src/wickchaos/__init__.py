@@ -18,7 +18,6 @@ from .errors import (DimensionMismatchError, DivergenceError, DomainError,
                      SchemaError, WickChaosError)
 from .hermite import (hermite_eval, hermite_linearize, hermite_shift,
                       hermite_to_power, power_to_hermite)
-from .jacobi import jacobi_eigh
 from .malliavin import (HValuedChaos, derivative_dir, directional_derivative,
                         divergence, gradient, higher_derivative, ou_apply,
                         product_via_wick_gradients, sobolev_norm,

@@ -31,8 +31,17 @@ linearization,
 (factorials and binomials coordinatewise): for each p it is the same
 convolution applied to the terms of F and G lowered by p, and only the p
 below some term of each side occur.  MultiIndex objects are built only for
-output terms, decoding each code by divmod.  stransform.translate applies
-the Hermite shift to the same codes.
+output terms, decoding each code by divmod.
+
+The sparse store itself (_Store) is shared with renormalization.PolySeries,
+whose labels are monomial exponents.  Multiplying monomials adds exponents,
+so poly_mul is wick_product on those labels: the Wick convolution, which is
+why renormalization satisfies :pq: = :p: <> :q:.  The remaining maps act on
+one coordinate at a time, each label m becoming a 1-D expansion
+sum_{n <= m} w_n (label n): the Hermite shift of stransform.translate and
+the monomial/Hermite changes of basis of renormalization.poly_to_chaos and
+chaos_to_poly.  They share the one coordinatewise kernel _coordinatewise on
+the same codes.
 """
 
 from __future__ import annotations
@@ -54,7 +63,84 @@ PRUNE_DEFAULT = 1e-14
 _EVAL_BLOCK = 1 << 16
 
 
-class ChaosVector:
+class _Store:
+    """Sparse map MultiIndex -> finite float under a hard degree cap.
+
+    The one store behind ChaosVector (Hermite labels) and
+    renormalization.PolySeries (monomial exponents).  No stored degree may
+    exceed max_order, no basis index may reach dim, and a NaN or inf
+    coefficient raises DomainError; coefficients with |c| <= prune are
+    dropped.
+    """
+
+    __slots__ = ("dim", "max_order", "prune", "_terms")
+    _cap = "max_order"  # the cap's public name, for messages and repr
+
+    def __init__(self, dim: int, max_order: int,
+                 terms: Mapping[MultiIndex, float] | None = None,
+                 prune: float = PRUNE_DEFAULT):
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        if max_order < 0:
+            raise ValueError(f"{self._cap} must be >= 0")
+        self.dim = dim
+        self.max_order = max_order
+        self.prune = prune
+        store: dict[MultiIndex, float] = {}
+        for alpha, c in (terms or {}).items():
+            if not isinstance(alpha, MultiIndex):
+                alpha = MultiIndex.from_exponents(alpha)
+            if alpha.degree > max_order:
+                raise OrderOverflowError(
+                    f"multi-index {alpha} has degree {alpha.degree} > {self._cap} {max_order}")
+            if alpha.max_index() >= dim:
+                raise DimensionMismatchError(
+                    f"multi-index {alpha} uses basis index >= dim {dim}")
+            c = float(c)
+            if not math.isfinite(c):
+                raise DomainError(f"coefficient at {alpha} is {c}, not finite")
+            if abs(c) > prune:
+                store[alpha] = c
+        self._terms = store
+
+    @classmethod
+    def _new(cls, dim: int, max_order: int, terms: Mapping[MultiIndex, float],
+             prune: float):
+        """An instance of cls, whatever the signature of its constructor."""
+        out = cls.__new__(cls)
+        _Store.__init__(out, dim, max_order, terms, prune)
+        return out
+
+    @property
+    def terms(self) -> dict[MultiIndex, float]:
+        return dict(self._terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def coeff(self, alpha: MultiIndex) -> float:
+        return self._terms.get(alpha, 0.0)
+
+    def degree(self) -> int:
+        return max((a.degree for a in self._terms), default=0)
+
+    def n_terms(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.dim == other.dim
+                and self._terms == other._terms)
+
+    __hash__ = None
+
+    def __repr__(self):
+        inner = ", ".join(f"{a}: {c:g}" for a, c in sorted(self._terms.items(),
+                                                           key=lambda kv: kv[0].sort_key()))
+        return (f"{type(self).__name__}(dim={self.dim}, {self._cap}={self.max_order}, "
+                f"{{{inner}}})")
+
+
+class ChaosVector(_Store):
     """Truncated Wiener chaos expansion over dimension dim.
 
     Parameters
@@ -68,34 +154,7 @@ class ChaosVector:
         threshold while multiplying large Hermite values).
     """
 
-    __slots__ = ("dim", "max_order", "prune", "_terms")
-
-    def __init__(self, dim: int, max_order: int,
-                 terms: Mapping[MultiIndex, float] | None = None,
-                 prune: float = PRUNE_DEFAULT):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if max_order < 0:
-            raise ValueError("max_order must be >= 0")
-        self.dim = dim
-        self.max_order = max_order
-        self.prune = prune
-        store: dict[MultiIndex, float] = {}
-        for alpha, c in (terms or {}).items():
-            if not isinstance(alpha, MultiIndex):
-                alpha = MultiIndex.from_exponents(alpha)
-            if alpha.degree > max_order:
-                raise OrderOverflowError(
-                    f"multi-index {alpha} has degree {alpha.degree} > max_order {max_order}")
-            if alpha.max_index() >= dim:
-                raise DimensionMismatchError(
-                    f"multi-index {alpha} uses basis index >= dim {dim}")
-            c = float(c)
-            if not math.isfinite(c):
-                raise DomainError(f"coefficient at {alpha} is {c}, not finite")
-            if abs(c) > prune:
-                store[alpha] = c
-        self._terms = store
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
 
@@ -122,22 +181,6 @@ class ChaosVector:
 
     # -- plumbing ------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[MultiIndex, float]:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def coeff(self, alpha: MultiIndex) -> float:
-        return self._terms.get(alpha, 0.0)
-
-    def degree(self) -> int:
-        return max((a.degree for a in self._terms), default=0)
-
-    def n_terms(self) -> int:
-        return len(self._terms)
-
     def with_max_order(self, max_order: int) -> "ChaosVector":
         """Same terms under a different cap (must still fit)."""
         return ChaosVector(self.dim, max_order, self._terms, prune=0.0)
@@ -145,17 +188,6 @@ class ChaosVector:
     def degree_part(self, n: int) -> "ChaosVector":
         return ChaosVector(self.dim, self.max_order,
                            {a: c for a, c in self._terms.items() if a.degree == n}, prune=0.0)
-
-    def __eq__(self, other):
-        return (isinstance(other, ChaosVector) and self.dim == other.dim
-                and self._terms == other._terms)
-
-    __hash__ = None
-
-    def __repr__(self):
-        inner = ", ".join(f"{a}: {c:g}" for a, c in sorted(self._terms.items(),
-                                                           key=lambda kv: kv[0].sort_key()))
-        return f"ChaosVector(dim={self.dim}, max_order={self.max_order}, {{{inner}}})"
 
     # -- operator sugar ------------------------------------------------
 
@@ -197,16 +229,18 @@ def _common(F: ChaosVector, G: ChaosVector) -> tuple[int, int, float]:
 # -- linear structure ----------------------------------------------------
 
 def add(F: ChaosVector, G: ChaosVector) -> ChaosVector:
+    """F + G, of the type of F."""
     dim, order, prune = _common(F, G)
     out = dict(F._terms)
     for a, c in G._terms.items():
         out[a] = out.get(a, 0.0) + c
-    return ChaosVector(dim, order, out, prune=prune)
+    return type(F)._new(dim, order, out, prune)
 
 
 def scale(F: ChaosVector, c: float) -> ChaosVector:
-    return ChaosVector(F.dim, F.max_order, {a: c * v for a, v in F._terms.items()},
-                       prune=F.prune)
+    """c F, of the type of F."""
+    return type(F)._new(F.dim, F.max_order, {a: c * v for a, v in F._terms.items()},
+                        F.prune)
 
 
 # -- tensor conversion ----------------------------------------------------
@@ -281,14 +315,14 @@ def expectation(F: ChaosVector) -> float:
 
 # -- products (integer codes, see the module docstring) ---------------------
 
-def _digits(base: int, *vectors: ChaosVector) -> tuple[list[int], dict[int, int]]:
+def _digits(base: int, *vectors: _Store) -> tuple[list[int], dict[int, int]]:
     """The coordinates the vectors use, in increasing order, one code digit
     each: returns them and the place value base^k of the k-th."""
     coords = sorted({i for F in vectors for a in F._terms for i, _ in a.entries})
     return coords, {i: base ** k for k, i in enumerate(coords)}
 
 
-def _coded(F: ChaosVector, place: dict[int, int]) -> list[tuple[int, int, float]]:
+def _coded(F: _Store, place: dict[int, int]) -> list[tuple[int, int, float]]:
     return [(a.degree, sum(m * place[i] for i, m in a.entries), c)
             for a, c in F._terms.items()]
 
@@ -326,7 +360,7 @@ def _lowered(F: ChaosVector, place: dict[int, int], weight) -> dict[int, list]:
 
 
 def _decoded(out: dict[int, float], base: int, coords: list[int], dim: int,
-             order: int, prune: float) -> ChaosVector:
+             order: int, prune: float, cls: type[_Store]) -> _Store:
     terms: dict[MultiIndex, float] = {}
     for code, c in out.items():
         entries = []
@@ -337,7 +371,34 @@ def _decoded(out: dict[int, float], base: int, coords: list[int], dim: int,
                 entries.append((coords[k], m))
             k += 1
         terms[MultiIndex(entries)] = c
-    return ChaosVector(dim, order, terms, prune=prune)
+    return cls._new(dim, order, terms, prune)
+
+
+def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Store:
+    """Apply a 1-D expansion to every coordinate F uses, one at a time.
+
+    tables(i, m) is the expansion {n: w} of coordinate i's label m, and
+    the label becomes sum_n w (label n): the Hermite shift of translate,
+    and power_to_hermite / hermite_to_power between PolySeries and
+    ChaosVector.  Each has n <= m, so the integer codes of the product
+    kernel stay valid.  Each coordinate's table is built once, for the
+    labels m up to the largest one F uses there.
+    """
+    base = F.max_order + 1
+    coords, place = _digits(base, F)
+    terms = {code: c for _, code, c in _coded(F, place)}
+    for i in coords:
+        w = place[i]
+        table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
+        out: dict[int, float] = {}
+        get = out.get
+        for code, c in terms.items():
+            m = code // w % base
+            for n, h in table[m].items():
+                k = code - (m - n) * w
+                out[k] = get(k, 0.0) + c * h
+        terms = out
+    return _decoded(terms, base, coords, F.dim, F.max_order, prune, cls)
 
 
 def _check_fits(F: ChaosVector, G: ChaosVector, order: int, what: str) -> None:
@@ -351,7 +412,9 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
 
     Realizes I_n(f) <> I_m(g) = I_{n+m}(f (x)^ g).  With clip=True the
     result is orthogonally projected onto degrees <= max_order instead of
-    raising; the DSL session algebra uses that mode.
+    raising; the DSL session algebra uses that mode.  The result has the
+    type of F: on PolySeries the same convolution multiplies monomials
+    (renormalization.poly_mul).
     """
     dim, order, prune = _common(F, G)
     if not clip:
@@ -360,7 +423,7 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
     coords, place = _digits(base, F, G)
     out: dict[int, float] = {}
     _convolve(_coded(F, place), sorted(_coded(G, place)), order, out)
-    return _decoded(out, base, coords, dim, order, prune)
+    return _decoded(out, base, coords, dim, order, prune, type(F))
 
 
 def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
@@ -386,18 +449,19 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
     for p, fs in _lowered(F, place, math.perm).items():
         if p in gs:
             _convolve(fs, sorted(gs[p]), order, out)
-    return _decoded(out, base, coords, dim, order, prune)
+    return _decoded(out, base, coords, dim, order, prune, ChaosVector)
 
 
 def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:
     """k-fold Wick product by repeated squaring; F^{<>0} = 1.
 
     Clipping the intermediate powers is exact: Wick products never lower a
-    degree, so a dropped term cannot feed a kept one.
+    degree, so a dropped term cannot feed a kept one.  The result has the
+    type of F (renormalization.poly_power on PolySeries).
     """
     if k < 0:
         raise ValueError("Wick power needs k >= 0")
-    out = ChaosVector.constant(1.0, F.dim, F.max_order)
+    out = type(F).constant(1.0, F.dim, F.max_order)
     square = F
     while k:
         if k & 1:
@@ -454,7 +518,11 @@ def _evaluate_block(F: ChaosVector, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate(F: ChaosVector, batch: SampleBatch | np.ndarray) -> np.ndarray:
-    """Per sample: sum_alpha c_alpha prod_i H_{alpha_i}(x_i)."""
+    """Per sample: sum_alpha c_alpha prod_i H_{alpha_i}(x_i).
+
+    Raises DomainError if any value is NaN or inf, e.g. when the Hermite
+    recurrence overflows at a high order.
+    """
     x = batch.data if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
     if x.ndim != 2:
         raise ValueError("expected a 2-d sample matrix")
@@ -462,11 +530,14 @@ def evaluate(F: ChaosVector, batch: SampleBatch | np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"batch dim {x.shape[1]} != vector dim {F.dim}")
     n = x.shape[0]
     if n <= _EVAL_BLOCK:
-        return _evaluate_block(F, x)
-    out = np.empty(n)
-    for start in range(0, n, _EVAL_BLOCK):
-        stop = min(start + _EVAL_BLOCK, n)
-        out[start:stop] = _evaluate_block(F, x[start:stop])
+        out = _evaluate_block(F, x)
+    else:
+        out = np.empty(n)
+        for start in range(0, n, _EVAL_BLOCK):
+            stop = min(start + _EVAL_BLOCK, n)
+            out[start:stop] = _evaluate_block(F, x[start:stop])
+    if not np.isfinite(out).all():
+        raise DomainError("evaluation is not finite (NaN or overflow to inf)")
     return out
 
 

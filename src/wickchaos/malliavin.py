@@ -116,18 +116,6 @@ def ou_apply(F: ChaosVector) -> ChaosVector:
                        {a: a.degree * c for a, c in F.items()}, prune=F.prune)
 
 
-def _tuple_factorial(t: tuple[int, ...]) -> float:
-    out = 1.0
-    run = 1
-    for k in range(1, len(t) + 1):
-        if k < len(t) and t[k] == t[k - 1]:
-            run += 1
-        else:
-            out *= math.factorial(run)
-            run = 1
-    return out
-
-
 def sobolev_norm(F: ChaosVector, k: int) -> float:
     """|F|_{k,2} = (sum_{i<=k} E |D^i F|^2_{H(x)i})^(1/2).
 
@@ -140,9 +128,30 @@ def sobolev_norm(F: ChaosVector, k: int) -> float:
     for i in range(k + 1):
         fact_i = math.factorial(i)
         for t, DtF in higher_derivative(F, i).items():
-            w = fact_i / _tuple_factorial(t)
+            w = fact_i / MultiIndex.from_indices(t).factorial()
             total += w * inner_product(DtF, DtF)
     return math.sqrt(total)
+
+
+def _derivative_pairing(F: ChaosVector, G: ChaosVector, product,
+                        sign: float) -> ChaosVector:
+    """sum_p sign^p / p! sum_{|t|=p} (p!/t!) product(D_t F, D_t G)."""
+    if F.dim != G.dim:
+        raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
+    order = max(F.max_order, G.max_order)
+    out = ChaosVector.zero(F.dim, order)
+    p_max = min(F.degree(), G.degree())
+    for p in range(p_max + 1):
+        DF = higher_derivative(F, p)
+        DG = higher_derivative(G, p)
+        for t, DtF in DF.items():
+            DtG = DG.get(t)
+            if DtG is None:
+                continue
+            w = sign ** p / MultiIndex.from_indices(t).factorial()
+            prod = product(DtF.with_max_order(order), DtG.with_max_order(order))
+            out = add(out, scale(prod, w))
+    return out
 
 
 def wick_via_malliavin(F: ChaosVector, G: ChaosVector) -> ChaosVector:
@@ -150,24 +159,7 @@ def wick_via_malliavin(F: ChaosVector, G: ChaosVector) -> ChaosVector:
 
     F <> G = sum_p (-1)^p / p! sum_{|t|=p} (p!/t!) (D_t F)(D_t G).
     """
-    if F.dim != G.dim:
-        raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
-    order = max(F.max_order, G.max_order)
-    out = ChaosVector.zero(F.dim, order)
-    p_max = min(F.degree(), G.degree())
-    for p in range(p_max + 1):
-        sign = -1.0 if p % 2 else 1.0
-        DF = higher_derivative(F, p)
-        DG = higher_derivative(G, p)
-        for t, DtF in DF.items():
-            DtG = DG.get(t)
-            if DtG is None:
-                continue
-            w = sign / _tuple_factorial(t)
-            prod = ordinary_product(DtF.with_max_order(order),
-                                    DtG.with_max_order(order))
-            out = add(out, scale(prod, w))
-    return out
+    return _derivative_pairing(F, G, ordinary_product, -1.0)
 
 
 def product_via_wick_gradients(F: ChaosVector, G: ChaosVector) -> ChaosVector:
@@ -175,23 +167,7 @@ def product_via_wick_gradients(F: ChaosVector, G: ChaosVector) -> ChaosVector:
 
     FG = sum_p 1/p! sum_{|t|=p} (p!/t!) (D_t F) <> (D_t G).
     """
-    if F.dim != G.dim:
-        raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
-    order = max(F.max_order, G.max_order)
-    out = ChaosVector.zero(F.dim, order)
-    p_max = min(F.degree(), G.degree())
-    for p in range(p_max + 1):
-        DF = higher_derivative(F, p)
-        DG = higher_derivative(G, p)
-        for t, DtF in DF.items():
-            DtG = DG.get(t)
-            if DtG is None:
-                continue
-            w = 1.0 / _tuple_factorial(t)
-            prod = wick_product(DtF.with_max_order(order),
-                                DtG.with_max_order(order))
-            out = add(out, scale(prod, w))
-    return out
+    return _derivative_pairing(F, G, wick_product, 1.0)
 
 
 def wick_with_gaussian(F: ChaosVector, g: Sequence[float]) -> ChaosVector:

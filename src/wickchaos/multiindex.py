@@ -111,12 +111,3 @@ class MultiIndex:
 
 EMPTY = MultiIndex()
 
-
-def multiindex_add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    """Componentwise multiplicity sum (degrees add)."""
-    return alpha + beta
-
-
-def multiindex_factorial(alpha: MultiIndex) -> float:
-    """alpha! = prod_i alpha_i!; equals E[(prod_i H_{alpha_i}(e~_i))^2]."""
-    return alpha.factorial()

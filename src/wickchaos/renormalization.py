@@ -10,6 +10,12 @@ The same object has an independent-copy representation
 evaluated here both exactly (the inner expectation in closed form, pure
 real arithmetic) and by Monte Carlo over Y.
 
+The law :pq: = :p:<>:q: is also why PolySeries is ChaosVector's store
+under another reading: poly_mul is the Wick convolution on monomial
+labels, poly_power the Wick power and poly_eval the S-transform.  The
+changes of basis poly_to_chaos and chaos_to_poly run in chaos's one
+coordinatewise kernel.
+
 Quadratic exponentials: for e~ standard Gaussian the renormalized
 square-exponential has the L2 expansion
 
@@ -29,49 +35,38 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chaos import (ChaosVector, add, coeff_distance, from_tensor, scale,
-                    wick_product)
-from .errors import (DimensionMismatchError, DivergenceError, DomainError,
-                     OrderOverflowError)
+from .chaos import (ChaosVector, _coordinatewise, _Store, add, coeff_distance,
+                    from_tensor, scale, wick_power, wick_product)
+from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
-from .jacobi import jacobi_eigh
 from .montecarlo import Estimate, _pairwise_sum
 from .multiindex import EMPTY, MultiIndex
 from .sampling import chunk_layout, chunk_normals
+from .stransform import s_transform
 from .tensors import SymTensor
 
 NEGDEF_TOL = 1e-12
 
 
-class PolySeries:
+class PolySeries(_Store):
     """A real polynomial in d commuting variables, sparse over exponents.
 
-    truncation is a hard cap on total degree, mirroring ChaosVector's
-    max_order: constructing a term beyond it raises OrderOverflowError.
+    ChaosVector's store read as monomial coefficients: the same
+    validation, never pruned, and truncation is the hard cap on total
+    degree (the store's max_order), so constructing a term beyond it
+    raises OrderOverflowError.
     """
 
-    __slots__ = ("dim", "truncation", "_terms")
+    __slots__ = ()
+    _cap = "truncation"
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, float] | None = None,
                  truncation: int = 64):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = dim
-        self.truncation = truncation
-        store: dict[MultiIndex, float] = {}
-        for alpha, c in (terms or {}).items():
-            if not isinstance(alpha, MultiIndex):
-                alpha = MultiIndex.from_exponents(alpha)
-            if alpha.degree > truncation:
-                raise OrderOverflowError(
-                    f"monomial degree {alpha.degree} exceeds truncation {truncation}")
-            if alpha.max_index() >= dim:
-                raise DimensionMismatchError(
-                    f"monomial {alpha} uses variable index >= dim {dim}")
-            c = float(c)
-            if c != 0.0:
-                store[alpha] = c
-        self._terms = store
+        super().__init__(dim, truncation, terms, prune=0.0)
+
+    @property
+    def truncation(self) -> int:
+        return self.max_order
 
     @classmethod
     def constant(cls, c: float, dim: int, truncation: int = 64) -> "PolySeries":
@@ -81,81 +76,16 @@ class PolySeries:
     def variable(cls, i: int, dim: int, truncation: int = 64) -> "PolySeries":
         return cls(dim, {MultiIndex(((i, 1),)): 1.0}, truncation)
 
-    @property
-    def terms(self) -> dict[MultiIndex, float]:
-        return dict(self._terms)
 
-    def items(self):
-        return self._terms.items()
-
-    def coeff(self, alpha: MultiIndex) -> float:
-        return self._terms.get(alpha, 0.0)
-
-    def degree(self) -> int:
-        return max((a.degree for a in self._terms), default=0)
-
-    def __eq__(self, other):
-        return (isinstance(other, PolySeries) and self.dim == other.dim
-                and self._terms == other._terms)
-
-    __hash__ = None
-
-    def __repr__(self):
-        inner = ", ".join(f"{a}: {c:g}" for a, c in sorted(self._terms.items(),
-                                                           key=lambda kv: kv[0].sort_key()))
-        return f"PolySeries(dim={self.dim}, truncation={self.truncation}, {{{inner}}})"
-
-
-def poly_add(p: PolySeries, q: PolySeries) -> PolySeries:
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dims differ: {p.dim} vs {q.dim}")
-    out = dict(p._terms)
-    for a, c in q._terms.items():
-        out[a] = out.get(a, 0.0) + c
-    return PolySeries(p.dim, out, max(p.truncation, q.truncation))
-
-
-def poly_scale(p: PolySeries, c: float) -> PolySeries:
-    return PolySeries(p.dim, {a: c * v for a, v in p._terms.items()}, p.truncation)
-
-
-def poly_mul(p: PolySeries, q: PolySeries, clip: bool = False) -> PolySeries:
-    """Product; with clip=True, terms beyond the cap are dropped."""
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dims differ: {p.dim} vs {q.dim}")
-    cap = max(p.truncation, q.truncation)
-    out: dict[MultiIndex, float] = {}
-    for a, c in p._terms.items():
-        for b, d in q._terms.items():
-            if a.degree + b.degree > cap:
-                if clip:
-                    continue
-                raise OrderOverflowError(
-                    f"product degree {a.degree + b.degree} exceeds truncation {cap}")
-            g = a + b
-            out[g] = out.get(g, 0.0) + c * d
-    return PolySeries(p.dim, out, cap)
-
-
-def poly_power(p: PolySeries, k: int, clip: bool = False) -> PolySeries:
-    if k < 0:
-        raise ValueError("power needs k >= 0")
-    out = PolySeries.constant(1.0, p.dim, p.truncation)
-    for _ in range(k):
-        out = poly_mul(out, p, clip=clip)
-    return out
-
-
-def poly_eval(p: PolySeries, point: Sequence[float]) -> float:
-    if len(point) != p.dim:
-        raise DimensionMismatchError(f"point length {len(point)} != dim {p.dim}")
-    out = 0.0
-    for alpha, c in p._terms.items():
-        term = c
-        for i, m in alpha.entries:
-            term *= point[i] ** m
-        out += term
-    return out
+# Multiplying monomials adds exponents, the Wick convolution of chaos's
+# product kernel on monomial labels (hence :pq: = :p: <> :q:), and a
+# polynomial's value at a point is the S-transform's power series.  Each
+# returns a PolySeries for PolySeries operands.
+poly_add = add
+poly_scale = scale
+poly_mul = wick_product
+poly_power = wick_power
+poly_eval = s_transform
 
 
 def _sigmas(dim: int, variances: Sequence[float] | None) -> list[float]:
@@ -194,32 +124,12 @@ def wick_order_poly(p: PolySeries,
 
 def poly_to_chaos(p: PolySeries) -> ChaosVector:
     """The plain (unrenormalized) random variable p(e~) in the Hermite basis."""
-    out: dict[MultiIndex, float] = {}
-    for alpha, c in p._terms.items():
-        stack: list[tuple[list[tuple[int, int]], float]] = [([], c)]
-        for i, m in alpha.entries:
-            conv = power_to_hermite(m)
-            stack = [(exps + ([(i, k)] if k else []), w * wt)
-                     for exps, w in stack for k, wt in conv.items()]
-        for exps, w in stack:
-            gamma = MultiIndex(tuple(exps))
-            out[gamma] = out.get(gamma, 0.0) + w
-    return ChaosVector(p.dim, p.truncation, out, prune=0.0)
+    return _coordinatewise(p, lambda i, m: power_to_hermite(m), ChaosVector, 0.0)
 
 
 def chaos_to_poly(F: ChaosVector) -> PolySeries:
     """Expand a chaos vector into an explicit polynomial in the coordinates."""
-    out: dict[MultiIndex, float] = {}
-    for alpha, c in F.items():
-        stack: list[tuple[list[tuple[int, int]], float]] = [([], c)]
-        for i, m in alpha.entries:
-            conv = hermite_to_power(m)
-            stack = [(exps + ([(i, k)] if k else []), w * wt)
-                     for exps, w in stack for k, wt in conv.items()]
-        for exps, w in stack:
-            gamma = MultiIndex(tuple(exps))
-            out[gamma] = out.get(gamma, 0.0) + w
-    return PolySeries(F.dim, out, F.max_order)
+    return _coordinatewise(F, lambda i, m: hermite_to_power(m), PolySeries, 0.0)
 
 
 # -- independent-copy representation ----------------------------------------
@@ -435,7 +345,7 @@ def wick_exp_I2(f: SymTensor, K: int = 30) -> WickExpI2:
     if f.order != 2:
         raise ValueError("need an order-2 tensor")
     m = _tensor_matrix(f)
-    w, v = jacobi_eigh(m)
+    w, v = np.linalg.eigh(m)
     if w[0] <= -1.0:
         raise DomainError(
             f"eigenvalue {w[0]:.6g} <= -1: the renormalized exponential has no closed form")
@@ -459,5 +369,5 @@ def negative_definite(f: SymTensor) -> bool:
     """True when every eigenvalue of the order-2 tensor is <= NEGDEF_TOL."""
     if f.order != 2:
         raise ValueError("need an order-2 tensor")
-    w, _ = jacobi_eigh(_tensor_matrix(f))
+    w = np.linalg.eigvalsh(_tensor_matrix(f))
     return bool(w[-1] <= NEGDEF_TOL)

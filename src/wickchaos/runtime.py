@@ -19,7 +19,8 @@ from .chaos import (ChaosVector, add, evaluate_at, expectation,
                     wick_power, wick_product)
 from .checks import CHECKS, CheckRow, run_checks
 from .errors import WickChaosError
-from .renormalization import PolySeries, poly_add, poly_mul, poly_scale, wick_order_poly
+from .renormalization import (PolySeries, poly_add, poly_mul, poly_power, poly_scale,
+                              wick_order_poly)
 from .stransform import s_transform, translate
 from .stratonovich import stratonovich_integral
 from .tensors import SymTensor
@@ -81,7 +82,7 @@ class Session:
             except KeyError:
                 raise CommandError(f"undefined identifier {node.name!r}") from None
         if isinstance(node, dsl.ChaosLit):
-            return self._chaos_literal(node)
+            return from_tensor(self._tensor_literal(node), max_order=self.max_order)
         if isinstance(node, dsl.Eps):
             return exponential_vector(self.pad(node.values), self.max_order)
         if isinstance(node, dsl.Neg):
@@ -109,10 +110,11 @@ class Session:
             return out
         raise TypeError(f"cannot evaluate {type(node).__name__}")
 
-    def _chaos_literal(self, node: dsl.ChaosLit) -> ChaosVector:
+    def _tensor_literal(self, node: dsl.ChaosLit | dsl.HuMeyerCmd) -> SymTensor:
+        """The symmetric tensor of an I_n{...} or humeyer T_n{...} literal."""
         if node.order > self.max_order:
             raise CommandError(
-                f"literal order {node.order} exceeds session order {self.max_order}")
+                f"tensor order {node.order} exceeds session order {self.max_order}")
         values: dict[tuple[int, ...], float] = {}
         for idxs, v in node.entries:
             if len(idxs) != node.order:
@@ -123,8 +125,7 @@ class Session:
                     raise CommandError(f"basis index {i} outside 1..{self.dim}")
             key = tuple(sorted(i - 1 for i in idxs))
             values[key] = values.get(key, 0.0) + v
-        f = SymTensor(self.dim, node.order, values, prune=0.0)
-        return from_tensor(f, max_order=self.max_order)
+        return SymTensor(self.dim, node.order, values, prune=0.0)
 
     # -- polynomial-mode evaluation (renorm command) --
 
@@ -155,11 +156,7 @@ class Session:
         if isinstance(node, dsl.Pow):
             if node.wick:
                 raise CommandError("'<>^' is not defined for renorm polynomials")
-            out = PolySeries.constant(1.0, self.dim, self.max_order)
-            base = self.eval_poly(node.base)
-            for _ in range(node.exponent):
-                out = poly_mul(out, base, clip=True)
-            return out
+            return poly_power(self.eval_poly(node.base), node.exponent, clip=True)
         raise CommandError(
             f"{type(node).__name__} literals are not allowed in renorm polynomials")
 
@@ -191,21 +188,7 @@ class Session:
             p = self.eval_poly(stmt.expr)
             return VectorOutput("renorm", wick_order_poly(p))
         if isinstance(stmt, dsl.HuMeyerCmd):
-            if stmt.order > self.max_order:
-                raise CommandError(
-                    f"tensor order {stmt.order} exceeds session order {self.max_order}")
-            values: dict[tuple[int, ...], float] = {}
-            for idxs, v in stmt.entries:
-                if len(idxs) != stmt.order:
-                    raise CommandError(
-                        f"index tuple {idxs} has {len(idxs)} entries, expected {stmt.order}")
-                for i in idxs:
-                    if not 1 <= i <= self.dim:
-                        raise CommandError(f"basis index {i} outside 1..{self.dim}")
-                key = tuple(sorted(i - 1 for i in idxs))
-                values[key] = values.get(key, 0.0) + v
-            f = SymTensor(self.dim, stmt.order, values, prune=0.0)
-            return VectorOutput("humeyer", stratonovich_integral(f))
+            return VectorOutput("humeyer", stratonovich_integral(self._tensor_literal(stmt)))
         if isinstance(stmt, dsl.CheckCmd):
             names = None if stmt.names is None else list(stmt.names)
             if names is not None:

@@ -6,8 +6,12 @@ coefficients it is the plain power series
 
     S(F)(xi) = sum_alpha c_alpha prod_i xi_i^{alpha_i},
 
-and translation by y acts coordinatewise through the Hermite shift
-H_n(x + a) = sum_k C(n,k) a^k H_{n-k}(x).
+the same sum that evaluates a polynomial on its monomial coefficients, so
+renormalization.poly_eval is s_transform on a PolySeries (and poly_mul is
+the Wick convolution on monomial labels).  Translation by y acts
+coordinatewise through the Hermite shift
+H_n(x + a) = sum_k C(n,k) a^k H_{n-k}(x), in chaos's one coordinatewise
+kernel.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosVector, _coded, _decoded, _digits, evaluate
+from .chaos import ChaosVector, _coordinatewise, evaluate
 from .errors import DimensionMismatchError
 from .hermite import hermite_shift
 from .montecarlo import Estimate, mean_estimate
 
 
 def s_transform(F: ChaosVector, xi: Sequence[float]) -> float:
-    """Evaluate S(F) at the point xi of H = R^d."""
+    """Evaluate S(F) at the point xi of H = R^d (a PolySeries at the point xi)."""
     if len(xi) != F.dim:
         raise DimensionMismatchError(f"xi length {len(xi)} != dim {F.dim}")
     out = 0.0
@@ -57,24 +61,10 @@ def translate(F: ChaosVector, y: Sequence[float]) -> ChaosVector:
     """tau_y F: the expansion of omega -> F(omega + y).
 
     S(tau_y F)(xi) = S(F)(xi + y); exactness is one of the library's
-    cross-checks.  The shift acts on one coordinate at a time, on the
-    integer codes of chaos.py's product kernel.
+    cross-checks.  The shift acts on one coordinate at a time, in
+    chaos._coordinatewise.
     """
     if len(y) != F.dim:
         raise DimensionMismatchError(f"shift length {len(y)} != dim {F.dim}")
-    base = F.max_order + 1
-    coords, place = _digits(base, F)
-    terms = {code: c for _, code, c in _coded(F, place)}
-    for i in coords:
-        a = float(y[i])
-        if a == 0.0:
-            continue
-        w = place[i]
-        shifted: dict[int, float] = {}
-        for code, c in terms.items():
-            m = code // w % base
-            for n, h in hermite_shift(m, a).items():
-                k = code - (m - n) * w
-                shifted[k] = shifted.get(k, 0.0) + c * h
-        terms = shifted
-    return _decoded(terms, base, coords, F.dim, F.max_order, F.prune)
+    return _coordinatewise(F, lambda i, m: hermite_shift(m, float(y[i])),
+                           ChaosVector, F.prune)

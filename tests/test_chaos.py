@@ -13,6 +13,7 @@ from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate,
 from wickchaos.errors import (DimensionMismatchError, DomainError,
                               OrderOverflowError)
 from wickchaos.multiindex import EMPTY, MultiIndex
+from wickchaos.renormalization import PolySeries, poly_mul, poly_power
 from wickchaos.sampling import sample_gaussians
 from wickchaos.stransform import translate
 from wickchaos.tensors import SymTensor, basis_tensor
@@ -54,6 +55,8 @@ def test_constructor_rejects_non_finite(bad):
         ChaosVector(1, 1, {MultiIndex([(0, 1)]): bad})
     with pytest.raises(DomainError):
         ChaosVector(1, 1, {MultiIndex([(0, 1)]): bad}, prune=0.0)
+    with pytest.raises(DomainError):
+        PolySeries(1, {MultiIndex([(0, 1)]): bad}, truncation=1)
 
 
 def test_non_finite_translation_is_loud():
@@ -203,22 +206,33 @@ def test_wick_power():
                           wick_product(F, wick_product(F, F))) < 1e-10
 
 
-def _sequential_wick_power(F, k, clip=False):
-    out = ChaosVector.constant(1.0, F.dim, F.max_order)
+def _sequential_wick_power(F, k, clip=False, product=wick_product):
+    out = type(F).constant(1.0, F.dim, F.max_order)
     for _ in range(k):
-        out = wick_product(out, F, clip=clip)
+        out = product(out, F, clip=clip)
     return out
 
 
-@pytest.mark.parametrize("clip", [False, True])
-def test_wick_power_matches_sequential_product(clip):
+# Squaring is exact for polynomials too: multiplying monomials never
+# lowers a degree, so clipping an intermediate power drops nothing kept.
+@pytest.mark.parametrize("clip, cls, power, product", [
+    (False, ChaosVector, wick_power, wick_product),
+    (True, ChaosVector, wick_power, wick_product),
+    (False, PolySeries, poly_power, poly_mul),
+    (True, PolySeries, poly_power, poly_mul),
+], ids=["False", "True", "poly-False", "poly-True"])
+def test_wick_power_matches_sequential_product(clip, cls, power, product):
     rng = np.random.default_rng(16)
     for _ in range(5):
         F = random_chaos(rng, 2, 2, max_order=8 if clip else 18, n_terms=4)
+        if cls is PolySeries:
+            F = PolySeries(F.dim, F.terms, truncation=F.max_order)
         for k in range(10):
-            want = _sequential_wick_power(F, k, clip)
+            want = _sequential_wick_power(F, k, clip, product)
+            got = power(F, k, clip=clip)
+            assert type(got) is cls
             scale_ = max((abs(c) for _, c in want.items()), default=1.0)
-            assert coeff_distance(wick_power(F, k, clip=clip), want) <= 1e-12 * scale_
+            assert coeff_distance(got, want) <= 1e-12 * scale_
 
 
 def test_wick_power_overflow_condition_unchanged():

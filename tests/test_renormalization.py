@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wickchaos.chaos import (ChaosVector, coeff_distance, evaluate_at, l2_norm,
-                             wick_product)
+from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate_at,
+                             l2_norm, scale, wick_product)
 from wickchaos.errors import (DimensionMismatchError, DivergenceError,
                               DomainError, OrderOverflowError)
 from wickchaos.multiindex import EMPTY, MultiIndex
@@ -47,6 +47,20 @@ def test_poly_basics():
         PolySeries(1, {MultiIndex([(1, 1)]): 1.0})
     # zero coefficients are dropped
     assert PolySeries(1, {EMPTY: 0.0}).terms == {}
+    with pytest.raises(ValueError):
+        PolySeries(1, {}, truncation=-1)
+
+
+def test_poly_series_shares_the_chaos_store():
+    p = PolySeries(2, {MultiIndex([(0, 1)]): 2.0, EMPTY: 1.0}, truncation=4)
+    assert type(add(p, p)) is PolySeries
+    assert type(scale(p, 2.0)) is PolySeries
+    assert type(poly_mul(p, p)) is PolySeries
+    assert type(poly_power(p, 3)) is PolySeries
+    # same terms, different basis: a polynomial is never a chaos vector
+    F = ChaosVector(2, 4, p.terms, prune=0.0)
+    assert F.terms == p.terms
+    assert p != F and F != p
 
 
 def test_poly_arithmetic_pointwise():
@@ -211,6 +225,15 @@ def test_wick_exp_square_pinned_value():
     W = wick_exp_square(0.5, K=40)
     assert abs(W.closed(1.0) - 0.9645767379481667) < 1e-15
     assert abs(evaluate_at(W.series, [1.0]) - 0.9645767379481667) < 1e-10
+
+
+def test_evaluation_overflow_is_loud():
+    # the Hermite recurrence overflows at order 600 and x = 4, where the
+    # closed form is 35.29: raise instead of returning NaN
+    W = wick_exp_square(0.95, K=300)
+    assert abs(W.closed(4.0) - 35.29) < 0.01
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        evaluate_at(W.series, [4.0])
 
 
 def test_wick_exp_square_tail_weight():

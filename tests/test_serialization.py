@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wickchaos.chaos import ChaosVector
-from wickchaos.errors import SchemaError
+from wickchaos.errors import DomainError, SchemaError
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries
 from wickchaos.serialization import (chaos_from_obj, chaos_to_obj, dumps,
@@ -100,6 +100,14 @@ def err(fn, text):
 def test_malformed_json():
     msg = err(loads_chaos, "{not json")
     assert "$" in msg
+
+
+def test_non_finite_coefficients_rejected():
+    # JSON parsers accept NaN; neither store may hold it
+    with pytest.raises(DomainError):
+        loads_chaos('{"dim": 1, "max_order": 2, "terms": [{"alpha": [[1, 1]], "coeff": NaN}]}')
+    with pytest.raises(DomainError):
+        loads_poly('{"dim": 1, "truncation": 2, "terms": [{"exps": [[1, 1]], "coeff": NaN}]}')
 
 
 def test_missing_and_unknown_fields():
