@@ -42,13 +42,39 @@ sum_{n <= m} w_n (label n): the Hermite shift of stransform.translate and
 the monomial/Hermite changes of basis of renormalization.poly_to_chaos and
 chaos_to_poly.  They share the one coordinatewise kernel _coordinatewise on
 the same codes.
+
+Evaluation is a bilinear form.  Cut the used coordinates into a head set
+(those below a cut coordinate) and a tail set, and write each label as
+alpha = a + b with a on the head and b on the tail.  With Psi_A(x) the
+basis products prod_i H_{a_i}(x_i) of the distinct head parts a, Psi_B(x)
+those of the tail parts, and C[a, b] = c_{a+b} a dense |A| x |B| matrix,
+
+    F(x) = sum_{a,b} C[a, b] Psi_A[a](x) Psi_B[b](x) = Psi_A(x)^T C Psi_B(x).
+
+Per block of samples that is one BLAS product M = C Psi_B and one
+weighted column sum of Psi_A * M, instead of one numpy pass per term and
+entry: at d=4, K=8 a 45 x 45 matrix replaces 495 terms.  The cut is the
+median used coordinate or none at all, whichever gives fewer basis rows
+|A| + |B|.  With no cut, C is the coefficient row, Psi_B the plain basis
+matrix and F(x) = C Psi_B(x) one matrix-vector product per block, so
+sparse and wide vectors cost what the basis matrix costs.
+Each basis row is the product of its own entries' Hermite rows, gathered
+from one table per block.  The plan (the cut, C and the gather indices)
+depends on F alone and is kept on F.  A block has as many samples as fit
+_EVAL_CELLS = 2^18 entries (2 MiB of doubles, about one core's L2 cache)
+of buffers: Hermite table, Psi_A, Psi_B, C Psi_B and a gather buffer, all
+allocated once per call.  The same contraction runs
+renormalization.wick_order_icopy_mc on powers of complex points.  BLAS
+picks its kernels by shape, so a row's value can differ in the last bits
+with the number of rows in its block; the same batch, or the same Monte
+Carlo chunk in any thread, always gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Iterable, Mapping, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +86,7 @@ from .tensors import SymTensor, ordered_count
 
 PRUNE_DEFAULT = 1e-14
 
-_EVAL_BLOCK = 1 << 16
+_EVAL_CELLS = 1 << 18  # buffer entries per evaluation block
 
 
 class _Store:
@@ -73,7 +99,7 @@ class _Store:
     dropped.
     """
 
-    __slots__ = ("dim", "max_order", "prune", "_terms")
+    __slots__ = ("dim", "max_order", "prune", "_terms", "_plan")
     _cap = "max_order"  # the cap's public name, for messages and repr
 
     def __init__(self, dim: int, max_order: int,
@@ -102,6 +128,7 @@ class _Store:
             if abs(c) > prune:
                 store[alpha] = c
         self._terms = store
+        self._plan = None  # evaluation plan, built by the first _contract
 
     @classmethod
     def _new(cls, dim: int, max_order: int, terms: Mapping[MultiIndex, float],
@@ -499,21 +526,121 @@ def exponential_vector(f: Sequence[float], max_order: int) -> ChaosVector:
     return ChaosVector(dim, max_order, terms, prune=0.0)
 
 
-# -- evaluation -------------------------------------------------------------
+# -- evaluation (bilinear form, see the module docstring) -------------------
 
-def _evaluate_block(F: ChaosVector, x: np.ndarray) -> np.ndarray:
+class _Plan(NamedTuple):
+    """F(x) = Psi_A(x)^T C Psi_B(x) (see the module docstring).
+
+    coords are the used coordinates and top the largest label.  head and
+    tail are each side's (table indices, suffix starts) for _basis, head
+    None when there is no cut (C is then one row).  buffers are the leading
+    shapes of the Hermite table, Psi_A, Psi_B, the gather buffer and
+    C Psi_B, and block the samples per block.
+    """
+
+    coords: list[int]
+    top: int
+    C: np.ndarray
+    head: tuple[np.ndarray, list[int]] | None
+    tail: tuple[np.ndarray, list[int]]
+    buffers: list[tuple[int, ...]]
+    block: int
+
+
+def _rows(parts: list, u: int, col: dict[int, int]) -> tuple[np.ndarray, list[int]]:
+    """The (table indices, suffix starts) that _basis builds the products of
+    parts from; parts must be sorted by entry count."""
+    lens = [len(p) for p in parts]
+    width = max(1, lens[-1])
+    idx = np.array([[m * u + col[i] for i, m in p] + [0] * (width - n)
+                    for p, n in zip(parts, lens)], dtype=np.intp)
+    return idx, [bisect_right(lens, j) for j in range(1, width)]
+
+
+def _bilinear(F: _Store) -> _Plan | None:
+    """Cut F's coordinates at the median used one, or not at all, whichever
+    gives fewer basis rows |A| + |B|.  Parts are sorted by entry count,
+    stably, so the plan is fixed by F.  None for a constant F."""
+    coords = sorted({i for a in F._terms for i, _ in a.entries})
+    if not coords:
+        return None
+    u = len(coords)
+    col = {i: k for k, i in enumerate(coords)}
+    top = max(m for a in F._terms for _, m in a.entries)
+    cut = (coords[u // 2],)
+    heads, tails, cells = {}, {}, []
+    for a, c in F._terms.items():
+        k = bisect_left(a.entries, cut)
+        h, t = a.entries[:k], a.entries[k:]
+        heads[h] = tails[t] = None
+        cells.append((h, t, c))
+    if len(heads) + len(tails) > len(cells):  # no cut is as small: A = {()}
+        terms = sorted(((a.entries, c) for a, c in F._terms.items()), key=lambda ec: len(ec[0]))
+        head, tail = None, _rows([e for e, _ in terms], u, col)
+        C = np.array([[c for _, c in terms]])
+    else:
+        heads, tails = sorted(heads, key=len), sorted(tails, key=len)
+        head, tail = _rows(heads, u, col), _rows(tails, u, col)
+        head_row = {h: r for r, h in enumerate(heads)}
+        tail_row = {t: r for r, t in enumerate(tails)}
+        q = len(tails)
+        C = np.zeros(len(heads) * q)
+        C[[head_row[h] * q + tail_row[t] for h, t, _ in cells]] = [c for _, _, c in cells]
+        C = C.reshape(-1, q)
+    sides = [tail] if head is None else [head, tail]
+    spare = max((len(idx) - starts[0] for idx, starts in sides if starts), default=0)
+    p = 0 if head is None else len(C)
+    buffers = [(top + 1, u), (p,), (C.shape[1],), (spare,), (p,)]
+    block = max(1, _EVAL_CELLS // sum(math.prod(b) for b in buffers))
+    return _Plan(coords, top, C, head, tail, buffers, block)
+
+
+def _basis(flat: np.ndarray, idx: np.ndarray, starts: list[int],
+           psi: np.ndarray, spare: np.ndarray) -> None:
+    """Fill psi[r] with the product of the table rows idx[r, :len(part r)].
+    Parts are sorted by entry count, so column j multiplies the suffix
+    starts[j-1]:; spare holds the gathered factors."""
+    flat.take(idx[:, 0], axis=0, out=psi, mode="clip")
+    for j, s in enumerate(starts, 1):
+        factor = spare[:len(idx) - s]
+        flat.take(idx[s:, j], axis=0, out=factor, mode="clip")
+        psi[s:] *= factor
+
+
+def _contract(F: _Store, x: np.ndarray, table) -> np.ndarray:
+    """sum_alpha c_alpha prod_i table(x_i)[alpha_i] for every row of x.
+
+    table(cols, top, out) fills out[m] with label m of the (u, rows) array
+    cols, m = 0..top, label 0 being 1: hermite_rows for evaluate, powers of
+    complex points for renormalization.wick_order_icopy_mc.  The plan
+    depends on F alone and is kept on F, whose terms never change.  The
+    buffers take _EVAL_CELLS entries, whatever the size of F, and are
+    allocated once per call.
+    """
+    if F._plan is None:
+        F._plan = _bilinear(F)
+    plan = F._plan
     n = x.shape[0]
-    needed: dict[int, int] = {}
-    for alpha in F._terms:
-        for i, m in alpha.entries:
-            needed[i] = max(needed.get(i, 0), m)
-    rows = {i: hermite_rows(x[:, i], deg) for i, deg in needed.items()}
-    out = np.zeros(n)
-    for alpha, c in F._terms.items():
-        term = np.full(n, c)
-        for i, m in alpha.entries:
-            term = term * rows[i][m]
-        out += term
+    if plan is None:
+        return np.full(n, F._terms.get(EMPTY, 0.0))
+    coords, top, C, head, tail, buffers, block = plan
+    xs = np.ascontiguousarray(x[:, coords].T)
+    out = np.empty(n, x.dtype)
+    work = None
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        if work is None or work[0].shape[-1] != stop - start:
+            work = [np.empty(b + (stop - start,), x.dtype) for b in buffers]
+        tab, psi_a, psi_b, factor, prod = work
+        table(xs[:, start:stop], top, tab)
+        flat = tab.reshape(-1, stop - start)
+        _basis(flat, *tail, psi_b, factor)
+        if head is None:
+            np.matmul(C[0], psi_b, out=out[start:stop])
+        else:
+            _basis(flat, *head, psi_a, factor)
+            np.matmul(C, psi_b, out=prod)
+            np.einsum("ij,ij->j", psi_a, prod, out=out[start:stop])
     return out
 
 
@@ -528,14 +655,8 @@ def evaluate(F: ChaosVector, batch: SampleBatch | np.ndarray) -> np.ndarray:
         raise ValueError("expected a 2-d sample matrix")
     if x.shape[1] != F.dim:
         raise DimensionMismatchError(f"batch dim {x.shape[1]} != vector dim {F.dim}")
-    n = x.shape[0]
-    if n <= _EVAL_BLOCK:
-        out = _evaluate_block(F, x)
-    else:
-        out = np.empty(n)
-        for start in range(0, n, _EVAL_BLOCK):
-            stop = min(start + _EVAL_BLOCK, n)
-            out[start:stop] = _evaluate_block(F, x[start:stop])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _contract(F, x, hermite_rows)
     if not np.isfinite(out).all():
         raise DomainError("evaluation is not finite (NaN or overflow to inf)")
     return out

@@ -68,10 +68,13 @@ def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
     return cur
 
 
-def hermite_rows(x: np.ndarray, n_max: int) -> np.ndarray:
-    """All orders at once: rows[k] = H_k evaluated elementwise, k = 0..n_max."""
+def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All orders at once: rows[k] = H_k evaluated elementwise, k = 0..n_max.
+
+    out, if given, is the (n_max + 1,) + x.shape array to fill and return.
+    """
     x = np.asarray(x, dtype=float)
-    rows = np.empty((n_max + 1,) + x.shape, dtype=float)
+    rows = np.empty((n_max + 1,) + x.shape, dtype=float) if out is None else out
     rows[0] = 1.0
     if n_max >= 1:
         rows[1] = x

@@ -35,8 +35,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chaos import (ChaosVector, _coordinatewise, _Store, add, coeff_distance,
-                    from_tensor, scale, wick_power, wick_product)
+from .chaos import (ChaosVector, _contract, _coordinatewise, _Store, add,
+                    coeff_distance, from_tensor, scale, wick_power, wick_product)
 from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
 from .montecarlo import Estimate, _pairwise_sum
@@ -175,6 +175,13 @@ def wick_order_icopy_exact(p: PolySeries, variances: Sequence[float] | None,
     return total
 
 
+def _powers(z: np.ndarray, top: int, out: np.ndarray) -> None:
+    """out[m] = z**m elementwise, m = 0..top, by repeated multiplication."""
+    out[0] = 1.0
+    for m in range(1, top + 1):
+        np.multiply(out[m - 1], z, out=out[m])
+
+
 def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
                         points: Sequence[Sequence[float]], n: int,
                         seed: int) -> list[Estimate]:
@@ -191,32 +198,12 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
             raise DimensionMismatchError("point length does not match dim")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    max_exp = [0] * p.dim
-    for alpha in p._terms:
-        for i, m in alpha.entries:
-            max_exp[i] = max(max_exp[i], m)
-
     layout = chunk_layout(n)
     parts: list[list[tuple[float, float, int]]] = [[] for _ in pts]
     for idx, rows in layout:
         y = chunk_normals(p.dim, seed, idx, rows) * sig
         for w, x in enumerate(pts):
-            z = x + 1j * y
-            # power tables per coordinate, then monomial assembly
-            pows = []
-            for i in range(p.dim):
-                col = np.empty((max_exp[i] + 1, rows), dtype=complex)
-                col[0] = 1.0
-                for m in range(1, max_exp[i] + 1):
-                    col[m] = col[m - 1] * z[:, i]
-                pows.append(col)
-            vals = np.zeros(rows, dtype=complex)
-            for alpha, c in p._terms.items():
-                term = np.full(rows, c, dtype=complex)
-                for i, m in alpha.entries:
-                    term = term * pows[i][m]
-                vals += term
-            re = vals.real
+            re = _contract(p, x + 1j * y, _powers).real
             parts[w].append((float(np.sum(re)), float(np.sum(re * re)), rows))
 
     out = []

@@ -1,6 +1,7 @@
 """Wick ordering of polynomials and the Wick exponential."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,15 @@ def test_evaluation_overflow_is_loud():
     assert abs(W.closed(4.0) - 35.29) < 0.01
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
         evaluate_at(W.series, [4.0])
+
+
+def test_evaluation_overflow_raises_without_warnings():
+    # the overflow is reported once, by DomainError, not also by numpy
+    W = wick_exp_square(0.95, K=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            evaluate_at(W.series, [4.0])
 
 
 def test_wick_exp_square_tail_weight():
