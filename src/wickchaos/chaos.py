@@ -63,7 +63,8 @@ from one table per block.  The plan (the cut, C and the gather indices)
 depends on F alone and is kept on F.  A block has as many samples as fit
 _EVAL_CELLS = 2^18 entries (2 MiB of doubles, about one core's L2 cache)
 of buffers: Hermite table, Psi_A, Psi_B, C Psi_B and a gather buffer, all
-allocated once per call.  The same contraction runs
+allocated once per call.  Besides them a call holds only its output and a
+copy of the sample columns F uses.  The same contraction runs
 renormalization.wick_order_icopy_mc on powers of complex points.  BLAS
 picks its kernels by shape, so a row's value can differ in the last bits
 with the number of rows in its block; the same batch, or the same Monte
@@ -615,7 +616,7 @@ def _contract(F: _Store, x: np.ndarray, table) -> np.ndarray:
     complex points for renormalization.wick_order_icopy_mc.  The plan
     depends on F alone and is kept on F, whose terms never change.  The
     buffers take _EVAL_CELLS entries, whatever the size of F, and are
-    allocated once per call.
+    allocated once per call, next to a copy of the used columns of x.
     """
     if F._plan is None:
         F._plan = _bilinear(F)
@@ -636,7 +637,7 @@ def _contract(F: _Store, x: np.ndarray, table) -> np.ndarray:
         flat = tab.reshape(-1, stop - start)
         _basis(flat, *tail, psi_b, factor)
         if head is None:
-            np.matmul(C[0], psi_b, out=out[start:stop])
+            np.dot(C[0], psi_b, out=out[start:stop])  # matmul is 5x slower on one row
         else:
             _basis(flat, *head, psi_a, factor)
             np.matmul(C, psi_b, out=prod)
