@@ -16,8 +16,8 @@ from .checks import CheckRow, run_checks
 from .errors import (DimensionMismatchError, DivergenceError, DomainError,
                      MismatchError, OrderOverflowError, ParseError,
                      SchemaError, WickChaosError)
-from .hermite import (hermite_eval, hermite_linearize, hermite_shift,
-                      hermite_to_power, power_to_hermite)
+from .hermite import (hermite_eval, hermite_shift, hermite_to_power,
+                      hu_meyer_coeff, power_to_hermite)
 from .malliavin import (HValuedChaos, derivative_dir, directional_derivative,
                         divergence, gradient, higher_derivative, ou_apply,
                         product_via_wick_gradients, sobolev_norm,
@@ -38,9 +38,8 @@ from .serialization import (chaos_from_obj, chaos_to_obj, dumps, loads_chaos,
                             loads_poly, loads_tensor, poly_from_obj,
                             poly_to_obj, tensor_from_obj, tensor_to_obj)
 from .stransform import s_transform, s_transform_mc, translate
-from .stratonovich import (hu_meyer_coeff, ito_from_stratonovich,
-                           stratonovich_integral, stratonovich_partial_sum,
-                           trace, trace_k)
+from .stratonovich import (ito_from_stratonovich, stratonovich_integral,
+                           stratonovich_partial_sum, trace, trace_k)
 from .tensors import (SymTensor, basis_tensor, contraction_1, independent,
                       sym_product)
 

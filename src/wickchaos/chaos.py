@@ -313,7 +313,7 @@ def inner_product(F: ChaosVector, G: ChaosVector) -> float:
     for a, c in small._terms.items():
         d = big._terms.get(a)
         if d is not None:
-            out += a.factorial() * c * d
+            out += a.weighted(c, d)
     return out
 
 
@@ -325,7 +325,7 @@ def gamma_norm(F: ChaosVector, r: float) -> float:
     """|F|_(r) = |Gamma(r) F|_2 = sqrt(sum alpha! r^(2 deg) c^2)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    return math.sqrt(sum(a.factorial() * r ** (2 * a.degree) * c * c
+    return math.sqrt(sum(a.weighted(r ** (2 * a.degree), c, c)
                          for a, c in F._terms.items()))
 
 

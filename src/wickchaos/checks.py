@@ -95,12 +95,9 @@ def random_tensor(rng: np.random.Generator, dim: int, order: int,
 
 def random_poly(rng: np.random.Generator, dim: int, degree: int,
                 n_terms: int, truncation: int) -> PolySeries:
-    terms: dict[MultiIndex, float] = {}
-    for _ in range(n_terms):
-        deg = int(rng.integers(0, degree + 1))
-        alpha = MultiIndex.from_indices(int(i) for i in rng.integers(0, dim, size=deg))
-        terms[alpha] = terms.get(alpha, 0.0) + float(rng.uniform(-1.0, 1.0))
-    return PolySeries(dim, terms, truncation)
+    """random_chaos's draws, read as monomial coefficients."""
+    return PolySeries(dim, random_chaos(rng, dim, degree, truncation, n_terms).terms,
+                      truncation)
 
 
 def random_variances(rng: np.random.Generator, dim: int) -> list[float]:

@@ -9,7 +9,15 @@ so H_2(x) = x^2 - 1 and E[H_n(X) H_m(X)] = delta_{nm} n! for X ~ N(0,1).
 This differs from the physicists' convention (leading coefficient 2^n)
 used by numpy.polynomial.hermite; numpy.polynomial.hermite_e matches ours
 but is deliberately not relied on, the recurrence here is the ground truth
-the tests pin against an explicit-sum oracle.
+the tests pin against an explicit-sum oracle.  It is written once, in
+hermite_rows; hermite_eval reads one row of it.
+
+The pairing count hu_meyer_coeff(n, k) = n! / (2^k k! (n-2k)!), the ways
+to pick k disjoint pairs from n slots, gives both changes of basis
+(power_to_hermite, hermite_to_power), the Hu-Meyer formula of stratonovich
+and the imaginary-copy moments E[(x + iY)^n] = sigma^n H_n(x / sigma) of
+renormalization.  Hermite linearization (H_a H_b) has no table here: the
+ordinary product in chaos runs its contraction-index form directly.
 
 Orders are capped (DEFAULT_MAX_ORDER, 64 by default) so factorials stay
 inside double range and callers get an explicit error instead of silently
@@ -44,7 +52,7 @@ def factorial(n: int) -> float:
 
 
 def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """Evaluate H_n(x) by the three-term recurrence.
+    """Evaluate H_n(x): row n of hermite_rows.
 
     Parameters
     ----------
@@ -60,12 +68,7 @@ def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
         raise ValueError("Hermite order must be non-negative")
     if n > max_order:
         raise OrderOverflowError(f"Hermite order {n} exceeds max order {max_order}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return cur
+    return float(hermite_rows(x, n)[n])
 
 
 def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -81,21 +84,6 @@ def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np
     for k in range(1, n_max):
         rows[k + 1] = x * rows[k] - k * rows[k - 1]
     return rows
-
-
-@lru_cache(maxsize=None)
-def hermite_linearize(a: int, b: int) -> dict[int, float]:
-    """Expansion of the pointwise product H_a * H_b in the Hermite basis.
-
-    H_a H_b = sum_p p! C(a,p) C(b,p) H_{a+b-2p} for p = 0..min(a,b).
-    Coefficients are exact integers, converted to float.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("Hermite orders must be non-negative")
-    out: dict[int, float] = {}
-    for p in range(min(a, b) + 1):
-        out[a + b - 2 * p] = float(math.factorial(p) * math.comb(a, p) * math.comb(b, p))
-    return out
 
 
 def hermite_shift(n: int, a: float) -> dict[int, float]:
@@ -115,27 +103,26 @@ def hermite_shift(n: int, a: float) -> dict[int, float]:
     return out
 
 
+def hu_meyer_coeff(n: int, k: int) -> float:
+    """n! / (2^k k! (n-2k)!), the count of pairings of k slot-pairs."""
+    if n < 0 or k < 0 or 2 * k > n:
+        raise ValueError(f"need 0 <= 2k <= n, got n={n}, k={k}")
+    return math.factorial(n) / (2 ** k * math.factorial(k) * math.factorial(n - 2 * k))
+
+
 @lru_cache(maxsize=None)
 def power_to_hermite(n: int) -> dict[int, float]:
     """Expansion of the monomial x^n in the Hermite basis.
 
-    x^n = sum_{k <= n/2} n! / (2^k k! (n-2k)!) H_{n-2k}(x).
+    x^n = sum_{k <= n/2} hu_meyer_coeff(n, k) H_{n-2k}(x).
     """
-    out: dict[int, float] = {}
-    for k in range(n // 2 + 1):
-        c = math.factorial(n) // (2**k * math.factorial(k) * math.factorial(n - 2 * k))
-        out[n - 2 * k] = float(c)
-    return out
+    return {n - 2 * k: hu_meyer_coeff(n, k) for k in range(n // 2 + 1)}
 
 
 @lru_cache(maxsize=None)
 def hermite_to_power(n: int) -> dict[int, float]:
     """Monomial coefficients of H_n: the explicit alternating sum.
 
-    H_n(x) = sum_{k <= n/2} (-1)^k n! / (2^k k! (n-2k)!) x^{n-2k}.
+    H_n(x) = sum_{k <= n/2} (-1)^k hu_meyer_coeff(n, k) x^{n-2k}.
     """
-    out: dict[int, float] = {}
-    for k in range(n // 2 + 1):
-        c = math.factorial(n) // (2**k * math.factorial(k) * math.factorial(n - 2 * k))
-        out[n - 2 * k] = float(-c if k % 2 else c)
-    return out
+    return {n - 2 * k: (-1) ** k * hu_meyer_coeff(n, k) for k in range(n // 2 + 1)}

@@ -21,6 +21,7 @@ from .chaos import (ChaosVector, add, inner_product, ordinary_product, scale,
                     wick_product)
 from .errors import DimensionMismatchError
 from .multiindex import MultiIndex
+from .tensors import ordered_count
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,8 @@ def sobolev_norm(F: ChaosVector, k: int) -> float:
         raise ValueError("k must be >= 0")
     total = 0.0
     for i in range(k + 1):
-        fact_i = math.factorial(i)
         for t, DtF in higher_derivative(F, i).items():
-            w = fact_i / MultiIndex.from_indices(t).factorial()
-            total += w * inner_product(DtF, DtF)
+            total += ordered_count(t) * inner_product(DtF, DtF)
     return math.sqrt(total)
 
 

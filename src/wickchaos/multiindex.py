@@ -7,9 +7,11 @@ and DSL surfaces are 1-based and convert at the boundary.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .hermite import factorial
+from .hermite import ORDER_LIMIT, factorial
 
 
 class MultiIndex:
@@ -96,6 +98,21 @@ class MultiIndex:
         for _, m in self.entries:
             out *= factorial(m)
         return out
+
+    def weighted(self, *factors: float) -> float:
+        """alpha! * factors[0] * factors[1] * ..., left to right in floats up
+        to degree ORDER_LIMIT.  Beyond it alpha! overflows a double while the
+        product may not, so the product is formed exactly and rounded once
+        (OverflowError if it is not finite)."""
+        if self.degree <= ORDER_LIMIT:
+            out = self.factorial()
+            for f in factors:
+                out *= f
+            return out
+        exact = Fraction(math.prod(math.factorial(m) for _, m in self.entries))
+        for f in factors:
+            exact *= Fraction(f)
+        return float(exact)
 
     def max_index(self) -> int:
         """Largest basis index present, -1 for the empty index."""

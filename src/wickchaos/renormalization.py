@@ -39,9 +39,8 @@ from .chaos import (ChaosVector, _contract, _coordinatewise, _Store, add,
                     coeff_distance, from_tensor, scale, wick_power, wick_product)
 from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
-from .montecarlo import Estimate, _pairwise_sum
+from .montecarlo import Estimate, mean_estimate
 from .multiindex import EMPTY, MultiIndex
-from .sampling import chunk_layout, chunk_normals
 from .stransform import s_transform
 from .tensors import SymTensor
 
@@ -138,16 +137,13 @@ def chaos_to_poly(F: ChaosVector) -> PolySeries:
 def _icopy_moment_poly(n: int, sigma: float) -> list[float]:
     """Coefficients of E[(x + iY)^n], Y ~ N(0, sigma^2), as powers of x.
 
-    Only even k survive: sum_k C(n,k) i^k E[Y^k] x^{n-k} with
-    E[Y^k] = (k-1)!! sigma^k, so the result is real with alternating signs.
-    Returned as coeffs[j] multiplying x^j.
+    The moment is sigma^n H_n(x / sigma): coeffs[j], multiplying x^j, is
+    H_n's monomial coefficient scaled by sigma^(n-j), real with
+    alternating signs.
     """
     coeffs = [0.0] * (n + 1)
-    for k in range(0, n + 1, 2):
-        half = k // 2
-        dfact = math.factorial(k) / (2 ** half * math.factorial(half))
-        sign = -1.0 if half % 2 else 1.0
-        coeffs[n - k] = math.comb(n, k) * sign * dfact * sigma ** k
+    for j, h in hermite_to_power(n).items():
+        coeffs[j] = h * sigma ** (n - j)
     return coeffs
 
 
@@ -187,8 +183,8 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
                         seed: int) -> list[Estimate]:
     """Monte Carlo over the imaginary copy: average Re p(x + iY).
 
-    One chunked, deterministic pass of Y-samples is shared by all
-    evaluation points; each point gets its own mean and standard error.
+    Each point is one montecarlo.mean_estimate over the same seed, so all
+    points share the Y-samples and get their own mean and standard error.
     The estimator is unbiased for :p(X):(x) at every truncation.
     """
     sig = np.asarray(_sigmas(p.dim, variances))
@@ -198,21 +194,9 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
             raise DimensionMismatchError("point length does not match dim")
     if n < 2:
         raise ValueError("need at least 2 samples")
-    layout = chunk_layout(n)
-    parts: list[list[tuple[float, float, int]]] = [[] for _ in pts]
-    for idx, rows in layout:
-        y = chunk_normals(p.dim, seed, idx, rows) * sig
-        for w, x in enumerate(pts):
-            re = _contract(p, x + 1j * y, _powers).real
-            parts[w].append((float(np.sum(re)), float(np.sum(re * re)), rows))
-
-    out = []
-    for w in range(len(pts)):
-        s, ss, count = _pairwise_sum(parts[w])
-        mean = s / count
-        var = max(0.0, (ss - s * s / count) / (count - 1))
-        out.append(Estimate(mean, math.sqrt(var / count), count, seed))
-    return out
+    return [mean_estimate(lambda y, x=x: _contract(p, x + 1j * (y * sig), _powers).real,
+                          p.dim, n, seed)
+            for x in pts]
 
 
 def series_condition(p: PolySeries,
@@ -225,10 +209,7 @@ def series_condition(p: PolySeries,
     sig = _sigmas(p.dim, variances)
     total = 0.0
     for alpha, a in p._terms.items():
-        w = a * a * alpha.factorial()
-        for i, m in alpha.entries:
-            w *= sig[i] ** (2 * m)
-        total += w
+        total += alpha.weighted(a, a, *(sig[i] ** (2 * m) for i, m in alpha.entries))
     return total
 
 

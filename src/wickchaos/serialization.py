@@ -81,40 +81,55 @@ def _parse_exponent_pairs(raw: Any, dim: int, path: str) -> MultiIndex:
     return MultiIndex(tuple(entries))
 
 
-def _exponent_pairs_obj(alpha: MultiIndex) -> list[list[int]]:
-    return [[i + 1, k] for i, k in alpha.entries]
+# -- ChaosVector and PolySeries: one codec ----------------------------------
 
 
-# -- ChaosVector -------------------------------------------------------------
-
-
-def chaos_to_obj(F: ChaosVector) -> dict:
-    terms = [{"alpha": _exponent_pairs_obj(a), "coeff": c}
+def _store_to_obj(F: ChaosVector | PolySeries, cap: str, label: str) -> dict:
+    terms = [{label: [[i + 1, k] for i, k in a.entries], "coeff": c}
              for a, c in sorted(F.items(), key=lambda kv: kv[0].sort_key())]
-    return {"dim": F.dim, "max_order": F.max_order, "terms": terms}
+    return {"dim": F.dim, cap: F.max_order, "terms": terms}
 
 
-def chaos_from_obj(obj: Any, path: str = "") -> ChaosVector:
-    top = _require_object(obj, path, ("dim", "max_order", "terms"))
+def _store_from_obj(obj: Any, path: str, cls: type[ChaosVector] | type[PolySeries],
+                    cap: str, label: str) -> ChaosVector | PolySeries:
+    """Read a store document whose degree cap is the field cap and whose
+    terms carry their multi-index in the field label."""
+    top = _require_object(obj, path, ("dim", cap, "terms"))
     pre = f"{path}." if path else ""
     dim = _require_int(top["dim"], f"{pre}dim")
     if dim < 1:
         raise SchemaError("dim must be >= 1", f"{pre}dim")
-    max_order = _require_int(top["max_order"], f"{pre}max_order")
-    if max_order < 0:
-        raise SchemaError("max_order must be >= 0", f"{pre}max_order")
+    order = _require_int(top[cap], f"{pre}{cap}")
+    if order < 0:
+        raise SchemaError(f"{cap} must be >= 0", f"{pre}{cap}")
     terms: dict[MultiIndex, float] = {}
     for j, item in enumerate(_require_list(top["terms"], f"{pre}terms")):
         tpath = f"{pre}terms[{j}]"
-        entry = _require_object(item, tpath, ("alpha", "coeff"))
-        alpha = _parse_exponent_pairs(entry["alpha"], dim, f"{tpath}.alpha")
-        if alpha.degree > max_order:
-            raise SchemaError(f"degree {alpha.degree} exceeds max_order {max_order}",
-                              f"{tpath}.alpha")
+        entry = _require_object(item, tpath, (label, "coeff"))
+        alpha = _parse_exponent_pairs(entry[label], dim, f"{tpath}.{label}")
+        if alpha.degree > order:
+            raise SchemaError(f"degree {alpha.degree} exceeds {cap} {order}",
+                              f"{tpath}.{label}")
         if alpha in terms:
-            raise SchemaError("duplicate multi-index", f"{tpath}.alpha")
+            raise SchemaError("duplicate multi-index", f"{tpath}.{label}")
         terms[alpha] = _require_number(entry["coeff"], f"{tpath}.coeff")
-    return ChaosVector(dim, max_order, terms, prune=0.0)
+    return cls._new(dim, order, terms, 0.0)
+
+
+def chaos_to_obj(F: ChaosVector) -> dict:
+    return _store_to_obj(F, "max_order", "alpha")
+
+
+def chaos_from_obj(obj: Any, path: str = "") -> ChaosVector:
+    return _store_from_obj(obj, path, ChaosVector, "max_order", "alpha")
+
+
+def poly_to_obj(p: PolySeries) -> dict:
+    return _store_to_obj(p, "truncation", "exps")
+
+
+def poly_from_obj(obj: Any, path: str = "") -> PolySeries:
+    return _store_from_obj(obj, path, PolySeries, "truncation", "exps")
 
 
 # -- SymTensor ----------------------------------------------------------------
@@ -158,38 +173,6 @@ def tensor_from_obj(obj: Any, path: str = "") -> SymTensor:
             raise SchemaError("duplicate index tuple", f"{vpath}.index")
         values[key] = _require_number(entry["value"], f"{vpath}.value")
     return SymTensor(dim, order, values, prune=0.0)
-
-
-# -- PolySeries ----------------------------------------------------------------
-
-
-def poly_to_obj(p: PolySeries) -> dict:
-    terms = [{"exps": _exponent_pairs_obj(a), "coeff": c}
-             for a, c in sorted(p.items(), key=lambda kv: kv[0].sort_key())]
-    return {"dim": p.dim, "truncation": p.truncation, "terms": terms}
-
-
-def poly_from_obj(obj: Any, path: str = "") -> PolySeries:
-    top = _require_object(obj, path, ("dim", "truncation", "terms"))
-    pre = f"{path}." if path else ""
-    dim = _require_int(top["dim"], f"{pre}dim")
-    if dim < 1:
-        raise SchemaError("dim must be >= 1", f"{pre}dim")
-    trunc = _require_int(top["truncation"], f"{pre}truncation")
-    if trunc < 0:
-        raise SchemaError("truncation must be >= 0", f"{pre}truncation")
-    terms: dict[MultiIndex, float] = {}
-    for j, item in enumerate(_require_list(top["terms"], f"{pre}terms")):
-        tpath = f"{pre}terms[{j}]"
-        entry = _require_object(item, tpath, ("exps", "coeff"))
-        alpha = _parse_exponent_pairs(entry["exps"], dim, f"{tpath}.exps")
-        if alpha.degree > trunc:
-            raise SchemaError(f"degree {alpha.degree} exceeds truncation {trunc}",
-                              f"{tpath}.exps")
-        if alpha in terms:
-            raise SchemaError("duplicate exponent list", f"{tpath}.exps")
-        terms[alpha] = _require_number(entry["coeff"], f"{tpath}.coeff")
-    return PolySeries(dim, terms, trunc)
 
 
 # -- text level ----------------------------------------------------------------

@@ -4,51 +4,36 @@ The Stratonovich integral of a symmetric order-n tensor is the plain
 product sum S_n(f) = sum_{i_1..i_n} f[i_1..i_n] e~_{i_1} ... e~_{i_n}
 (no Wick correction).  It expands over Ito integrals of traced tensors:
 
-    S_n(f) = sum_{2k <= n} n!/(2^k k! (n-2k)!) I_{n-2k}(Tr^k f)
+    S_n(f) = sum_{2k <= n} hu_meyer_coeff(n, k) I_{n-2k}(Tr^k f)
 
-with the inverse carrying alternating signs.  Tr contracts one pair of
-slots against the identity of R^d.
+with the inverse carrying alternating signs.  The weight is hermite's
+pairing count, re-exported here.  Tr contracts one pair of slots against
+the identity of R^d.
 """
 
 from __future__ import annotations
 
-import math
-
 from .chaos import ChaosVector, add, from_tensor, ordinary_product, scale
+from .hermite import hu_meyer_coeff
 from .tensors import SymTensor, ordered_count
 
 
-def hu_meyer_coeff(n: int, k: int) -> float:
-    """n! / (2^k k! (n-2k)!), the count of pairings of k slot-pairs."""
-    if n < 0 or k < 0 or 2 * k > n:
-        raise ValueError(f"need 0 <= 2k <= n, got n={n}, k={k}")
-    return math.factorial(n) / (2 ** k * math.factorial(k) * math.factorial(n - 2 * k))
-
-
 def trace(f: SymTensor) -> SymTensor:
-    """(Tr f)[t] = sum_i f[t + (i, i)], one diagonal contraction."""
+    """(Tr f)[t] = sum_i f[t + (i, i)], one diagonal contraction.
+
+    Each stored tuple s feeds s minus (i, i) once per distinct index i it
+    holds twice or more.  Read in sorted order, every entry sums its terms
+    in increasing i, and the entries come out in sorted order.
+    """
     if f.order < 2:
         raise ValueError("trace needs order >= 2")
     vals: dict[tuple[int, ...], float] = {}
-    for t in _candidate_tuples(f):
-        s = 0.0
-        for i in range(f.dim):
-            s += f.value(tuple(sorted(t + (i, i))))
-        if s != 0.0:
-            vals[t] = s
-    return SymTensor(f.dim, f.order - 2, vals, prune=0.0)
-
-
-def _candidate_tuples(f: SymTensor):
-    """Sorted tuples that can carry a nonzero trace entry of f."""
-    seen = set()
-    for t in f.values:
-        # remove any two positions; the remaining order-2 slots are candidates
-        for a in range(len(t)):
-            for b in range(a + 1, len(t)):
-                rest = tuple(t[i] for i in range(len(t)) if i != a and i != b)
-                seen.add(rest)
-    return sorted(seen)
+    for s, v in sorted(f.values.items()):
+        for k in range(len(s) - 1):
+            if s[k] == s[k + 1] and (k == 0 or s[k - 1] != s[k]):
+                t = s[:k] + s[k + 2:]
+                vals[t] = vals.get(t, 0.0) + v
+    return SymTensor(f.dim, f.order - 2, dict(sorted(vals.items())), prune=0.0)
 
 
 def trace_k(f: SymTensor, k: int) -> SymTensor:
@@ -74,7 +59,7 @@ def stratonovich_integral(f: SymTensor) -> ChaosVector:
 def ito_from_stratonovich(f: SymTensor) -> ChaosVector:
     """I_n(f) rebuilt from Stratonovich integrals of traced tensors.
 
-    I_n(f) = sum_k (-1)^k n!/(2^k k! (n-2k)!) S_{n-2k}(Tr^k f); composing
+    I_n(f) = sum_k (-1)^k hu_meyer_coeff(n, k) S_{n-2k}(Tr^k f); composing
     with the forward formula must return from_tensor(f).
     """
     n = f.order

@@ -16,7 +16,6 @@ import math
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError
-from .multiindex import MultiIndex
 
 PRUNE_DEFAULT = 1e-14
 
@@ -98,9 +97,6 @@ class SymTensor:
         for t, v in other._values.items():
             vals[t] = vals.get(t, 0.0) + v
         return SymTensor(self.dim, self.order, vals)
-
-    def to_multiindex_items(self) -> list[tuple[MultiIndex, float]]:
-        return [(MultiIndex.from_indices(t), v) for t, v in self._values.items()]
 
 
 def basis_tensor(dim: int, indices: Iterable[int]) -> SymTensor:

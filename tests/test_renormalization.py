@@ -2,12 +2,13 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate_at,
-                             l2_norm, scale, wick_product)
+                             gamma_norm, l2_norm, scale, wick_product)
 from wickchaos.errors import (DimensionMismatchError, DivergenceError,
                               DomainError, OrderOverflowError)
 from wickchaos.multiindex import EMPTY, MultiIndex
@@ -182,6 +183,16 @@ def test_icopy_mc_agrees():
         wick_order_icopy_mc(p, [1.5], [[0.0, 0.0]], n=100, seed=0)
 
 
+def test_icopy_mc_points_are_independent_calls():
+    # several chunks, so the pairwise reduction has more than one level
+    p = PolySeries(2, {MultiIndex([(0, 2), (1, 1)]): 0.7, MultiIndex([(1, 3)]): -1.1,
+                       EMPTY: 0.3}, truncation=4)
+    pts = [[0.2, -0.5], [1.0, 0.0], [-1.5, 2.0]]
+    together = wick_order_icopy_mc(p, [0.8, 1.4], pts, n=200_000, seed=9)
+    alone = [wick_order_icopy_mc(p, [0.8, 1.4], [x], n=200_000, seed=9)[0] for x in pts]
+    assert together == alone
+
+
 def test_series_condition_is_squared_norm():
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -244,6 +255,26 @@ def test_evaluation_overflow_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             evaluate_at(W.series, [4.0])
+
+
+def test_l2_norm_past_the_factorial_cap():
+    # degree 172 > 170: alpha! overflows a double, alpha! c^2 does not
+    series = wick_exp_square(0.5, K=90).series
+    assert series.degree() > 170
+    assert abs(l2_norm(series) - (1 - 0.5 ** 2) ** -0.25) <= 1e-12
+
+
+def test_weighted_sums_past_the_factorial_cap():
+    # at lam = 0.99 the terms above degree 170 carry 0.8% of the mass, and
+    # c^2 alone underflows there; the truncated sum is
+    # sum_k lam^2k C(2k, k) / 4^k
+    lam, K = 0.99, 90
+    series = wick_exp_square(lam, K=K).series
+    want = float(sum(Fraction(lam) ** (2 * k) * math.comb(2 * k, k) / 4 ** k
+                     for k in range(K + 1)))
+    for got in (l2_norm(series) ** 2, gamma_norm(series, 1.0) ** 2,
+                series_condition(PolySeries(1, series.terms, 2 * K))):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_wick_exp_square_tail_weight():

@@ -161,6 +161,18 @@ def test_duplicate_terms_rejected():
     assert "terms[1]" in msg
 
 
+def test_poly_reader_names_paths():
+    base = '{"dim": 1, "truncation": %s, "terms": [%s]}'
+    one = '{"exps": [[1, 1]], "coeff": 1}'
+    # duplicate term, degree over truncation, negative truncation
+    msg = err(loads_poly, base % (2, one + ", " + one))
+    assert msg.startswith("terms[1].exps:")
+    msg = err(loads_poly, base % (2, '{"exps": [[1, 3]], "coeff": 1}'))
+    assert msg.startswith("terms[0].exps:")
+    msg = err(loads_poly, base % (-1, ""))
+    assert msg.startswith("truncation:")
+
+
 def test_tensor_index_validation():
     base = '{"dim": 2, "order": 2, "values": [%s]}'
     msg = err(loads_tensor, base % '{"index": [1], "value": 1}')
