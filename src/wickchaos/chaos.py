@@ -13,25 +13,45 @@ truncation order is a hard cap that raises OrderOverflowError rather than
 silently dropping terms.
 
 Products run on integer codes.  With K the common truncation and
-i_0 < i_1 < ... the coordinates that occur in the operands, a term alpha
+i_0 < i_1 < ... the u coordinates that occur in the operands, a term alpha
 becomes (deg alpha, code(alpha), c_alpha) with the plain int
 
     code(alpha) = sum_k alpha_{i_k} (K+1)^k.
 
 Every digit is at most K, so when deg alpha + deg beta <= K the sum of the
-codes is the code of alpha + beta, without a carry.  Python ints have no
-width limit, and coordinates nobody uses get no digit, so dim does not
-enter the cost.  The Wick product is then a convolution of codes in which
-each term of F visits only the degree-sorted prefix of G that fits under
-K.  The ordinary product uses the contraction-index form of Hermite
-linearization,
+codes is the code of alpha + beta, without a carry, and every output code
+is below (K+1)^u.  Coordinates nobody uses get no digit, so dim does not
+enter the cost.  The ordinary product uses the contraction-index form of
+Hermite linearization,
 
     H_alpha H_beta = sum_{p <= alpha, beta} p! C(alpha,p) C(beta,p) H_{alpha+beta-2p}
 
-(factorials and binomials coordinatewise): for each p it is the same
-convolution applied to the terms of F and G lowered by p, and only the p
-below some term of each side occur.  MultiIndex objects are built only for
-output terms, decoding each code by divmod.
+(factorials and binomials coordinatewise): for each p it is a Wick
+convolution of the terms of F and G lowered by p, and only the p below
+some term of each side occur.  So one pair loop, _convolve, serves both
+products.  It takes groups (fs, gs), one for the Wick product and one per
+p for the ordinary product, with gs sorted by degree; each term of fs
+visits the prefix of gs that fits under K, found by bisection, and adds
+its product at the sum of the codes.
+
+The bisections count the pairs exactly before any product is formed, and
+the count picks the route.  A product of fewer than _CROSSOVER pairs, plus
+one per _CELLS_PER_PAIR codes of the range (K+1)^u, runs on a dict of
+Python ints, whose width has no limit; so does one whose range exceeds
+_CELLS, which covers every code past 2^63, and one with fewer than
+_CROSSOVER pairs before degree pruning, which is not counted.  The others run on numpy:
+np.repeat and gathers build the pairs in the same visiting order, _CHUNK
+pairs at a time so that memory does not grow with the pair count;
+np.add.at sums them into a dense array over the range, and np.minimum.at
+records each code's first visit.  ufunc.at is unbuffered and runs in
+index order, so every code's sum adds the same products in the same order
+as the dict loop, and the terms come out in first-visit order: both
+routes, at any chunk size, give the same bits in the same term order.
+
+Decoding reuses labels.  The codes of the operands' labels are recorded
+as they are coded; an output code that is one of them keeps that
+MultiIndex, and any other is decoded by divmod into a new one through a
+trusted constructor.
 
 The sparse store itself (_Store) is shared with renormalization.PolySeries,
 whose labels are monomial exponents.  Multiplying monomials adds exponents,
@@ -75,12 +95,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, OrderOverflowError
-from .hermite import hermite_rows
+from .hermite import ORDER_LIMIT, hermite_rows
 from .multiindex import EMPTY, MultiIndex
 from .sampling import SampleBatch
 from .tensors import SymTensor, ordered_count
@@ -343,6 +365,12 @@ def expectation(F: ChaosVector) -> float:
 
 # -- products (integer codes, see the module docstring) ---------------------
 
+_CROSSOVER = 640  # pairs: numpy's ~45 us per call matches the dict loop at 500-750 pairs
+_CELLS_PER_PAIR = 16  # a dense cell costs 1-4 ns, a dict pair ~80 ns more than a numpy one
+_CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
+_CHUNK = 1 << 15  # pairs per numpy chunk: ~2.5 MiB of pair arrays; 2^14-2^18 time alike
+
+
 def _digits(base: int, *vectors: _Store) -> tuple[list[int], dict[int, int]]:
     """The coordinates the vectors use, in increasing order, one code digit
     each: returns them and the place value base^k of the k-th."""
@@ -350,28 +378,88 @@ def _digits(base: int, *vectors: _Store) -> tuple[list[int], dict[int, int]]:
     return coords, {i: base ** k for k, i in enumerate(coords)}
 
 
-def _coded(F: _Store, place: dict[int, int]) -> list[tuple[int, int, float]]:
-    return [(a.degree, sum(m * place[i] for i, m in a.entries), c)
-            for a, c in F._terms.items()]
+def _coded(F: _Store, place: dict[int, int],
+           labels: dict[int, MultiIndex]) -> list[tuple[int, int, float]]:
+    """F's terms as (deg alpha, code(alpha), c_alpha); records code -> alpha."""
+    coded = []
+    for a, c in F._terms.items():
+        code = sum(m * place[i] for i, m in a.entries)
+        labels[code] = a
+        coded.append((a.degree, code, c))
+    return coded
 
 
-def _convolve(fs, gs, order: int, out: dict[int, float]) -> None:
-    """Add c*d at code(alpha + beta) for every (deg alpha, code, c) in fs and
-    (deg beta, code, d) in gs with deg alpha + deg beta <= order.  gs must be
-    sorted by degree: each term of fs visits only the prefix that fits."""
-    degrees = [t[0] for t in gs]
+def _convolve(groups, order: int, cells: int) -> dict[int, float]:
+    """Sum c*d at code(alpha + beta) over each group (fs, gs) in turn, for
+    every (deg alpha, code, c) in fs and (deg beta, code, d) in gs with
+    deg alpha + deg beta <= order.  gs must be sorted by degree: each term
+    of fs visits only the prefix that fits.  Returns {code: sum} in
+    first-visit order, each sum added up in visiting order.  Every code is
+    below cells.  The pairs are counted only when there can be _CROSSOVER
+    of them."""
+    if cells <= _CELLS and sum(len(fs) * len(gs) for fs, gs in groups) >= _CROSSOVER:
+        counts = []
+        for fs, gs in groups:
+            degrees = [t[0] for t in gs]
+            counts.append([bisect_right(degrees, order - da) for da, _, _ in fs])
+        total = sum(map(sum, counts))
+        if total >= _CROSSOVER + cells // _CELLS_PER_PAIR:
+            return _convolve_dense(groups, counts, total, cells)
+    out: dict[int, float] = {}
     get = out.get
-    for da, ca, c in fs:
-        for _, cb, d in gs[:bisect_right(degrees, order - da)]:
-            k = ca + cb
-            out[k] = get(k, 0.0) + c * d
+    for fs, gs in groups:
+        degrees = [t[0] for t in gs]
+        for da, ca, c in fs:
+            for _, cb, d in gs[:bisect_right(degrees, order - da)]:
+                k = ca + cb
+                out[k] = get(k, 0.0) + c * d
+    return out
 
 
-def _lowered(F: ChaosVector, place: dict[int, int], weight) -> dict[int, list]:
+def _convolve_dense(groups, counts, total: int, cells: int) -> dict[int, float]:
+    """_convolve on numpy: the same pairs in the same order, _CHUNK at a time.
+
+    Pair t belongs to row r (a term of some fs) when starts[r] <= t <
+    ends[r], and meets term t + shift[r] of the concatenated gs.  Sums and
+    first visits go to dense arrays indexed by code; ufunc.at is unbuffered
+    and runs in index order, so each sum associates as in the dict loop.
+    """
+    left = [t for fs, _ in groups for t in fs]
+    right = [t for _, gs in groups for t in gs]
+    fcode, fval = np.array([t[1] for t in left], np.int64), np.array([t[2] for t in left])
+    gcode, gval = np.array([t[1] for t in right], np.int64), np.array([t[2] for t in right])
+    n = np.fromiter(chain.from_iterable(counts), np.int64, len(left))
+    ends = np.cumsum(n)
+    starts = ends - n
+    offsets = np.cumsum([0] + [len(gs) for _, gs in groups])[:-1]
+    shift = np.repeat(offsets, [len(fs) for fs, _ in groups]) - starts
+    sums = np.zeros(cells)
+    first = np.full(cells, total, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        r0 = int(np.searchsorted(ends, lo, "right"))
+        r1 = int(np.searchsorted(ends, hi - 1, "right")) + 1
+        rows = np.repeat(np.arange(r0, r1),
+                         np.minimum(ends[r0:r1], hi) - np.maximum(starts[r0:r1], lo))
+        t = np.arange(lo, hi)
+        j = t + shift[rows]
+        code = fcode[rows] + gcode[j]
+        np.add.at(sums, code, fval[rows] * gval[j])
+        np.minimum.at(first, code, t)
+    seen = np.flatnonzero(first < total)
+    codes = seen[np.argsort(first[seen])]
+    return dict(zip(codes.tolist(), sums[codes].tolist()))
+
+
+def _lowered(F: ChaosVector, place: dict[int, int], weight,
+             labels: dict[int, MultiIndex]) -> dict[int, list]:
     """Group F's terms by every contraction index p <= alpha.
 
     Maps code(p) to the terms (deg alpha - |p|, code(alpha - p),
     c_alpha * prod_i weight(alpha_i, p_i)); only p below some term occur.
+    Records code(alpha) -> alpha.  The integer weight is at most alpha!, a
+    finite double up to degree ORDER_LIMIT; past it the product with
+    c_alpha is formed exactly and rounded once, as in MultiIndex.weighted.
     """
     groups: dict[int, list] = {}
     for a, c in F._terms.items():
@@ -382,23 +470,33 @@ def _lowered(F: ChaosVector, place: dict[int, int], weight) -> dict[int, list]:
             code += m * w
             subs = [(pc + k * w, pd + k, pw * weight(m, k))
                     for pc, pd, pw in subs for k in range(m + 1)]
+        labels[code] = a
+        exact = a.degree > ORDER_LIMIT
         for pc, pd, pw in subs:
-            groups.setdefault(pc, []).append((a.degree - pd, code - pc, c * pw))
+            groups.setdefault(pc, []).append(
+                (a.degree - pd, code - pc, float(Fraction(c) * pw) if exact else c * pw))
     return groups
 
 
-def _decoded(out: dict[int, float], base: int, coords: list[int], dim: int,
-             order: int, prune: float, cls: type[_Store]) -> _Store:
+def _decoded(out: dict[int, float], base: int, coords: list[int],
+             labels: dict[int, MultiIndex], dim: int, order: int, prune: float,
+             cls: type[_Store]) -> _Store:
+    """The store of {code: c}: a code the operands used keeps their label,
+    any other is decoded by divmod into a new one."""
     terms: dict[MultiIndex, float] = {}
     for code, c in out.items():
-        entries = []
-        k = 0
-        while code:
-            code, m = divmod(code, base)
-            if m:
-                entries.append((coords[k], m))
-            k += 1
-        terms[MultiIndex(entries)] = c
+        a = labels.get(code)
+        if a is None:
+            entries = []
+            degree = k = 0
+            while code:
+                code, m = divmod(code, base)
+                if m:
+                    entries.append((coords[k], m))
+                    degree += m
+                k += 1
+            a = MultiIndex._canonical(tuple(entries), degree)
+        terms[a] = c
     return cls._new(dim, order, terms, prune)
 
 
@@ -414,7 +512,8 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
     """
     base = F.max_order + 1
     coords, place = _digits(base, F)
-    terms = {code: c for _, code, c in _coded(F, place)}
+    labels: dict[int, MultiIndex] = {}
+    terms = {code: c for _, code, c in _coded(F, place, labels)}
     for i in coords:
         w = place[i]
         table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
@@ -426,7 +525,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
                 k = code - (m - n) * w
                 out[k] = get(k, 0.0) + c * h
         terms = out
-    return _decoded(terms, base, coords, F.dim, F.max_order, prune, cls)
+    return _decoded(terms, base, coords, labels, F.dim, F.max_order, prune, cls)
 
 
 def _check_fits(F: ChaosVector, G: ChaosVector, order: int, what: str) -> None:
@@ -449,9 +548,10 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
         _check_fits(F, G, order, "Wick")
     base = order + 1
     coords, place = _digits(base, F, G)
-    out: dict[int, float] = {}
-    _convolve(_coded(F, place), sorted(_coded(G, place)), order, out)
-    return _decoded(out, base, coords, dim, order, prune, type(F))
+    labels: dict[int, MultiIndex] = {}
+    fs, gs = _coded(F, place, labels), sorted(_coded(G, place, labels))
+    out = _convolve([(fs, gs)], order, base ** len(coords))
+    return _decoded(out, base, coords, labels, dim, order, prune, type(F))
 
 
 def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
@@ -472,12 +572,12 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
         _check_fits(F, G, order, "product")
     base = order + 1
     coords, place = _digits(base, F, G)
-    gs = _lowered(G, place, math.comb)
-    out: dict[int, float] = {}
-    for p, fs in _lowered(F, place, math.perm).items():
-        if p in gs:
-            _convolve(fs, sorted(gs[p]), order, out)
-    return _decoded(out, base, coords, dim, order, prune, ChaosVector)
+    labels: dict[int, MultiIndex] = {}
+    gs = _lowered(G, place, math.comb, labels)
+    groups = [(fs, sorted(gs[p])) for p, fs in _lowered(F, place, math.perm, labels).items()
+              if p in gs]
+    out = _convolve(groups, order, base ** len(coords))
+    return _decoded(out, base, coords, labels, dim, order, prune, ChaosVector)
 
 
 def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:

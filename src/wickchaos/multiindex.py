@@ -42,6 +42,16 @@ class MultiIndex:
         object.__setattr__(self, "degree", sum(merged.values()))
 
     @classmethod
+    def _canonical(cls, entries: tuple[tuple[int, int], ...], degree: int) -> "MultiIndex":
+        """Trusted constructor: entries already canonical, degree their
+        multiplicity sum.  Nothing is checked; for decoders that build
+        labels by construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "degree", degree)
+        return out
+
+    @classmethod
     def from_exponents(cls, exponents: Mapping[int, int]) -> "MultiIndex":
         return cls(exponents.items())
 

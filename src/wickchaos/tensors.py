@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DomainError
 
 PRUNE_DEFAULT = 1e-14
 
@@ -55,6 +55,8 @@ class SymTensor:
             if t and (t[0] < 0 or t[-1] >= dim):
                 raise DimensionMismatchError(f"tuple {t} out of range for dim {dim}")
             v = float(v)
+            if not math.isfinite(v):
+                raise DomainError(f"value at {t} is {v}, not finite")
             if abs(v) > prune:
                 store[t] = store.get(t, 0.0) + v
         self._values = store

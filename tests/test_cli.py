@@ -140,6 +140,14 @@ def test_order_flag_controls_truncation():
     assert json.loads(lines(proc)[0])["value"] == 3.0
 
 
+@pytest.mark.parametrize("order", [171, 200])
+def test_orders_past_factorial_overflow(order):
+    # E[eps(1)^2] = exp(1); lowering weights reach 171! > the largest double
+    proc = run_cli("--order", str(order), "-c", "expect eps(1)*eps(1)")
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(lines(proc)[0])["value"] - math.e) <= 1e-12
+
+
 def test_wick_power_command():
     # eps(f)<>^k = eps(k f), and S(eps(g))(xi) = exp(<g, xi>) truncated at the order
     proc = run_cli("-c", "a = eps(0.001, -0.002)\nstransform a <>^ 1000, 0.5, -0.25")

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wickchaos.chaos import (PRUNE_DEFAULT, ChaosVector, ordinary_product,
-                             wick_product)
+from wickchaos import chaos
+from wickchaos.chaos import (PRUNE_DEFAULT, ChaosVector, exponential_vector,
+                             ordinary_product, wick_product)
 from wickchaos.errors import DimensionMismatchError, OrderOverflowError
 from wickchaos.multiindex import MultiIndex
 from wickchaos.stransform import translate
@@ -229,6 +230,29 @@ def test_wide_support_codes_exceed_64_bits():
     assert_matches(translate(F, y), oracle_translate(F, y), 0.0)
 
 
+@pytest.fixture
+def dense_route(monkeypatch):
+    """Records the pair count of every call of the numpy pair loop."""
+    calls = []
+    dense = chaos._convolve_dense
+
+    def spy(*args):
+        calls.append(args[2])
+        return dense(*args)
+
+    monkeypatch.setattr(chaos, "_convolve_dense", spy)
+    return calls
+
+
+@pytest.mark.parametrize("product,factor", PRODUCTS, ids=["wick", "ordinary"])
+def test_dense_product_above_crossover_matches_exact_oracle(product, factor, dense_route):
+    F = exponential_vector([0.4, -0.7, 0.25], 6)
+    G = exponential_vector([-0.3, 0.5, 0.9], 6)
+    P = product(F, G, clip=True)
+    assert dense_route and dense_route[0] >= chaos._CROSSOVER
+    assert_matches(P, oracle_product(F, G, factor, True), P.prune)
+
+
 @pytest.mark.parametrize("product", [wick_product, ordinary_product])
 def test_product_errors(product):
     F = ChaosVector(2, 3, {MultiIndex([(0, 3)]): 1.0})
@@ -261,3 +285,38 @@ def test_results_repeat_bitwise_and_clip_never_raises(data, pair):
         assert [a for a, _ in first.items()] == [a for a, _ in second.items()]
     y = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=F.dim, max_size=F.dim))
     assert translate(_copy(F), y) == translate(_copy(F), y)
+
+
+# -- the two routes of the pair loop ----------------------------------------------
+
+# (crossover, chunk): numpy in chunks of a few pairs, numpy in one chunk,
+# and the dict loop whatever the pair count; cells never tip the choice
+ROUTES = [(0, 3), (0, 1 << 20), (1 << 62, 1 << 15)]
+
+
+@st.composite
+def route_pairs(draw):
+    """operand_pairs, or two exponential vectors with hundreds of pairs."""
+    if draw(st.booleans()):
+        return draw(operand_pairs())
+    dim, order = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    f, g = (draw(st.lists(signed(0.1, 0.9), min_size=dim, max_size=dim)) for _ in "fg")
+    return exponential_vector(f, order), exponential_vector(g, order)
+
+
+@SETTINGS
+@given(pair=route_pairs())
+def test_routes_and_chunkings_agree_bitwise(pair):
+    F, G = pair
+    for product in (wick_product, ordinary_product):
+        results = []
+        for crossover, chunk in ROUTES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chaos, "_CROSSOVER", crossover)
+                mp.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+                mp.setattr(chaos, "_CHUNK", chunk)
+                results.append(product(F, G, clip=True))
+        first = results[0]
+        for P in results[1:]:
+            assert P == first
+            assert [(a, c) for a, c in P.items()] == [(a, c) for a, c in first.items()]

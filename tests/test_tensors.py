@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wickchaos.errors import DimensionMismatchError
+from wickchaos.errors import DimensionMismatchError, DomainError
 from wickchaos.tensors import (SymTensor, basis_tensor, contract_vector,
                                contraction_1, independent, ordered_count,
                                sym_product)
@@ -49,6 +49,15 @@ def test_constructor_canonicalizes():
         SymTensor(0, 1)
     assert SymTensor(2, 1, {(0,): 1e-20}).is_zero()
     assert not SymTensor(2, 1, {(0,): 1e-20}, prune=0.0).is_zero()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite(bad):
+    # a NaN used to fail the prune test and vanish, an inf to be stored
+    with pytest.raises(DomainError):
+        SymTensor(2, 1, {(0,): bad, (1,): 2.0})
+    with pytest.raises(DomainError):
+        SymTensor(2, 1, {(0,): bad}, prune=0.0)
 
 
 def test_norm_matches_dense():
