@@ -79,16 +79,26 @@ median used coordinate or none at all, whichever gives fewer basis rows
 matrix and F(x) = C Psi_B(x) one matrix-vector product per block, so
 sparse and wide vectors cost what the basis matrix costs.
 Each basis row is the product of its own entries' Hermite rows, gathered
-from one table per block.  The plan (the cut, C and the gather indices)
-depends on F alone and is kept on F.  A block has as many samples as fit
-_EVAL_CELLS = 2^18 entries (2 MiB of doubles, about one core's L2 cache)
-of buffers: Hermite table, Psi_A, Psi_B, C Psi_B and a gather buffer, all
-allocated once per call.  Besides them a call holds only its output and a
-copy of the sample columns F uses.  The same contraction runs
-renormalization.wick_order_icopy_mc on powers of complex points.  BLAS
-picks its kernels by shape, so a row's value can differ in the last bits
-with the number of rows in its block; the same batch, or the same Monte
-Carlo chunk in any thread, always gives the same bits.
+from one table per block.
+
+k vectors read on the same samples share one plan: the union of their
+coordinates, one cut by the same rule, the union of their head parts and
+of their tail parts, and their matrices stacked as k blocks of |A| rows
+(k rows with no cut).  Per block that is one Hermite table, one Psi_A
+and one Psi_B, one BLAS product of the stacked C and k column sums (with
+no cut, k matrix-vector products); montecarlo.estimate_pair_expectation
+reads F and G so.  The plan (the cut, C and the gather indices) of one
+vector depends on it alone and is kept on it; a joint plan has no owner
+and is built per call.  A block has as many samples as fit _EVAL_CELLS =
+2^18 entries (2 MiB of doubles, about one core's L2 cache) of buffers:
+Hermite table, Psi_A, Psi_B, C Psi_B (k |A| rows) and a gather buffer,
+all allocated once per call.  Besides them a call holds only its output
+and a copy of the sample columns the vectors use.  The same contraction
+runs renormalization.wick_order_icopy_mc on powers of complex points.
+BLAS picks its kernels by shape, so a row's value can differ in the last
+bits with the number of rows in its block or of vectors read with it;
+the same batch, or the same Monte Carlo chunk in any thread, always
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -630,20 +640,24 @@ def exponential_vector(f: Sequence[float], max_order: int) -> ChaosVector:
 # -- evaluation (bilinear form, see the module docstring) -------------------
 
 class _Plan(NamedTuple):
-    """F(x) = Psi_A(x)^T C Psi_B(x) (see the module docstring).
+    """F_j(x) = Psi_A(x)^T C_j Psi_B(x) for the k vectors F_j read on the
+    same samples (see the module docstring).
 
-    coords are the used coordinates and top the largest label.  head and
-    tail are each side's (table indices, suffix starts) for _basis, head
-    None when there is no cut (C is then one row).  buffers are the leading
-    shapes of the Hermite table, Psi_A, Psi_B, the gather buffer and
-    C Psi_B, and block the samples per block.
+    coords are the used coordinates and top the largest label.  C stacks
+    the C_j as k blocks of |A| rows; when there is no cut it holds one row
+    per vector and head is None, and when no coordinate is used it is the
+    column of the constants.  head and tail are each side's (table
+    indices, suffix starts) for _basis.  buffers are the leading shapes of
+    the Hermite table, Psi_A, Psi_B, the gather buffer and C Psi_B, and
+    block the samples per block.
     """
 
+    k: int
     coords: list[int]
     top: int
     C: np.ndarray
     head: tuple[np.ndarray, list[int]] | None
-    tail: tuple[np.ndarray, list[int]]
+    tail: tuple[np.ndarray, list[int]] | None
     buffers: list[tuple[int, ...]]
     block: int
 
@@ -658,42 +672,65 @@ def _rows(parts: list, u: int, col: dict[int, int]) -> tuple[np.ndarray, list[in
     return idx, [bisect_right(lens, j) for j in range(1, width)]
 
 
-def _bilinear(F: _Store) -> _Plan | None:
-    """Cut F's coordinates at the median used one, or not at all, whichever
-    gives fewer basis rows |A| + |B|.  Parts are sorted by entry count,
-    stably, so the plan is fixed by F.  None for a constant F."""
-    coords = sorted({i for a in F._terms for i, _ in a.entries})
+def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
+    """Cut the coordinates the stores use at the median one, or not at all
+    when the basis rows |A| + |B| would outnumber their distinct labels.
+    Parts are sorted by entry count, stably, so the plan is fixed by the
+    stores and their order."""
+    k = len(stores)
+    if any(F.dim != stores[0].dim for F in stores):
+        raise DimensionMismatchError(f"dims differ: {[F.dim for F in stores]}")
+    coords = sorted({i for F in stores for a in F._terms for i, _ in a.entries})
     if not coords:
-        return None
+        C = np.array([[F._terms.get(EMPTY, 0.0)] for F in stores])
+        return _Plan(k, coords, 0, C, None, None, [], 0)
     u = len(coords)
-    col = {i: k for k, i in enumerate(coords)}
-    top = max(m for a in F._terms for _, m in a.entries)
+    col = {i: r for r, i in enumerate(coords)}
+    top = max(m for F in stores for a in F._terms for _, m in a.entries)
     cut = (coords[u // 2],)
-    heads, tails, cells = {}, {}, []
-    for a, c in F._terms.items():
-        k = bisect_left(a.entries, cut)
-        h, t = a.entries[:k], a.entries[k:]
-        heads[h] = tails[t] = None
-        cells.append((h, t, c))
-    if len(heads) + len(tails) > len(cells):  # no cut is as small: A = {()}
-        terms = sorted(((a.entries, c) for a, c in F._terms.items()), key=lambda ec: len(ec[0]))
-        head, tail = None, _rows([e for e, _ in terms], u, col)
-        C = np.array([[c for _, c in terms]])
+    labels, heads, tails, cells = {}, {}, {}, []
+    for j, F in enumerate(stores):
+        labels.update(F._terms)
+        for a, c in F._terms.items():
+            n = bisect_left(a.entries, cut)
+            h, t = a.entries[:n], a.entries[n:]
+            heads[h] = tails[t] = None
+            cells.append((j, h, t, c))
+    if len(heads) + len(tails) > len(labels):  # no cut is as small: A = {()}
+        parts = sorted(labels, key=lambda a: len(a.entries))
+        head, tail = None, _rows([a.entries for a in parts], u, col)
+        row = {a: r for r, a in enumerate(parts)}
+        C = np.zeros((k, len(parts)))
+        for j, F in enumerate(stores):
+            C[j, [row[a] for a in F._terms]] = list(F._terms.values())
+        p = 0
     else:
         heads, tails = sorted(heads, key=len), sorted(tails, key=len)
         head, tail = _rows(heads, u, col), _rows(tails, u, col)
         head_row = {h: r for r, h in enumerate(heads)}
         tail_row = {t: r for r, t in enumerate(tails)}
-        q = len(tails)
-        C = np.zeros(len(heads) * q)
-        C[[head_row[h] * q + tail_row[t] for h, t, _ in cells]] = [c for _, _, c in cells]
+        p, q = len(heads), len(tails)
+        C = np.zeros(k * p * q)
+        C[[(j * p + head_row[h]) * q + tail_row[t] for j, h, t, _ in cells]] = \
+            [c for *_, c in cells]
         C = C.reshape(-1, q)
     sides = [tail] if head is None else [head, tail]
     spare = max((len(idx) - starts[0] for idx, starts in sides if starts), default=0)
-    p = 0 if head is None else len(C)
-    buffers = [(top + 1, u), (p,), (C.shape[1],), (spare,), (p,)]
+    buffers = [(top + 1, u), (p,), (C.shape[1],), (spare,), (k * p,)]
     block = max(1, _EVAL_CELLS // sum(math.prod(b) for b in buffers))
-    return _Plan(coords, top, C, head, tail, buffers, block)
+    return _Plan(k, coords, top, C, head, tail, buffers, block)
+
+
+def _plan(stores: tuple[_Store, ...]) -> _Plan:
+    """The plan of the stores read on the same samples.  One store's plan
+    depends on it alone and is kept on it, whose terms never change; a
+    joint plan has no owner and is built per call."""
+    if len(stores) > 1:
+        return _bilinear(stores)
+    F, = stores
+    if F._plan is None:
+        F._plan = _bilinear(stores)
+    return F._plan
 
 
 def _basis(flat: np.ndarray, idx: np.ndarray, starts: list[int],
@@ -708,25 +745,24 @@ def _basis(flat: np.ndarray, idx: np.ndarray, starts: list[int],
         psi[s:] *= factor
 
 
-def _contract(F: _Store, x: np.ndarray, table) -> np.ndarray:
-    """sum_alpha c_alpha prod_i table(x_i)[alpha_i] for every row of x.
+def _contract(plan: _Plan, x: np.ndarray, table) -> np.ndarray:
+    """The (k, n) array of sum_alpha c_alpha prod_i table(x_i)[alpha_i], one
+    row per vector of the plan and one column per row of x.
 
     table(cols, top, out) fills out[m] with label m of the (u, rows) array
     cols, m = 0..top, label 0 being 1: hermite_rows for evaluate, powers of
-    complex points for renormalization.wick_order_icopy_mc.  The plan
-    depends on F alone and is kept on F, whose terms never change.  The
-    buffers take _EVAL_CELLS entries, whatever the size of F, and are
-    allocated once per call, next to a copy of the used columns of x.
+    complex points for renormalization.wick_order_icopy_mc.  Each block
+    builds one table, Psi_A and Psi_B for all k vectors, and one product
+    of the stacked C.  The buffers take _EVAL_CELLS entries, whatever the
+    size of the vectors, and are allocated once per call, next to a copy
+    of the used columns of x.
     """
-    if F._plan is None:
-        F._plan = _bilinear(F)
-    plan = F._plan
+    k, coords, top, C, head, tail, buffers, block = plan
     n = x.shape[0]
-    if plan is None:
-        return np.full(n, F._terms.get(EMPTY, 0.0))
-    coords, top, C, head, tail, buffers, block = plan
+    if not coords:
+        return np.repeat(C, n, axis=1)
     xs = np.ascontiguousarray(x[:, coords].T)
-    out = np.empty(n, x.dtype)
+    out = np.empty((k, n), x.dtype)
     work = None
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -737,12 +773,35 @@ def _contract(F: _Store, x: np.ndarray, table) -> np.ndarray:
         flat = tab.reshape(-1, stop - start)
         _basis(flat, *tail, psi_b, factor)
         if head is None:
-            np.dot(C[0], psi_b, out=out[start:stop])  # matmul is 5x slower on one row
+            for c, o in zip(C, out[:, start:stop]):
+                np.dot(c, psi_b, out=o)  # matmul is 5x slower on one row
         else:
             _basis(flat, *head, psi_a, factor)
             np.matmul(C, psi_b, out=prod)
-            np.einsum("ij,ij->j", psi_a, prod, out=out[start:stop])
+            for m, o in zip(prod.reshape(k, -1, stop - start), out[:, start:stop]):
+                np.einsum("ij,ij->j", psi_a, m, out=o)
     return out
+
+
+def _values(plan: _Plan, x: np.ndarray) -> np.ndarray:
+    """_contract on the Hermite table; DomainError if any value is NaN or
+    inf, e.g. when the Hermite recurrence overflows at a high order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _contract(plan, x, hermite_rows)
+    if not np.isfinite(out).all():
+        raise DomainError("evaluation is not finite (NaN or overflow to inf)")
+    return out
+
+
+def _evaluate(vectors: tuple[ChaosVector, ...], batch: SampleBatch | np.ndarray) -> np.ndarray:
+    """evaluate for k vectors of one dim read on the same samples: a (k, n)
+    array, row j that of vectors[j]."""
+    x = batch.data if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("expected a 2-d sample matrix")
+    if x.shape[1] != vectors[0].dim:
+        raise DimensionMismatchError(f"batch dim {x.shape[1]} != vector dim {vectors[0].dim}")
+    return _values(_plan(vectors), x)
 
 
 def evaluate(F: ChaosVector, batch: SampleBatch | np.ndarray) -> np.ndarray:
@@ -751,16 +810,7 @@ def evaluate(F: ChaosVector, batch: SampleBatch | np.ndarray) -> np.ndarray:
     Raises DomainError if any value is NaN or inf, e.g. when the Hermite
     recurrence overflows at a high order.
     """
-    x = batch.data if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-d sample matrix")
-    if x.shape[1] != F.dim:
-        raise DimensionMismatchError(f"batch dim {x.shape[1]} != vector dim {F.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _contract(F, x, hermite_rows)
-    if not np.isfinite(out).all():
-        raise DomainError("evaluation is not finite (NaN or overflow to inf)")
-    return out
+    return _evaluate((F,), batch)[0]
 
 
 def evaluate_at(F: ChaosVector, point: Sequence[float]) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chaos import ChaosVector, evaluate
+from .chaos import ChaosVector, _plan, _values, evaluate
 from .errors import MismatchError
 from .sampling import chunk_layout, chunk_normals
 
@@ -52,22 +52,24 @@ def _pairwise_sum(parts: list[tuple[float, float, int]]) -> tuple[float, float, 
     return items[0]
 
 
-def mean_estimate(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
-                  seed: int, workers: int | None = None) -> Estimate:
-    """Estimate E[fn(X)] for X standard normal in R^dim.
+def _mean_rows(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
+               seed: int, workers: int | None = None) -> list[Estimate]:
+    """Estimate E[fn(X)] row by row for X standard normal in R^dim.
 
-    fn maps an (m, dim) block to m values and must be a pure function;
-    it may be called from several threads at once when workers is set.
+    fn maps an (m, dim) block to k rows of m values (one row may come
+    flat) and must be a pure function; it may be called from several
+    threads at once when workers is set.  Each chunk is drawn once for all
+    k rows, and each row is reduced on its own.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     layout = chunk_layout(n)
 
-    def one_chunk(item: tuple[int, int]) -> tuple[float, float, int]:
+    def one_chunk(item: tuple[int, int]) -> list[tuple[float, float, int]]:
         idx, rows = item
         x = chunk_normals(dim, seed, idx, rows)
-        v = np.asarray(fn(x), dtype=float)
-        return float(np.sum(v)), float(np.sum(v * v)), rows
+        v = np.asarray(fn(x), dtype=float).reshape(-1, rows)
+        return [(float(np.sum(r)), float(np.sum(r * r)), rows) for r in v]
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -75,10 +77,23 @@ def mean_estimate(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
     else:
         parts = [one_chunk(item) for item in layout]
 
-    s, ss, count = _pairwise_sum(parts)
-    mean = s / count
-    var = max(0.0, (ss - s * s / count) / (count - 1))
-    return Estimate(mean, math.sqrt(var / count), count, seed)
+    out = []
+    for row in zip(*parts):
+        s, ss, count = _pairwise_sum(row)
+        mean = s / count
+        var = max(0.0, (ss - s * s / count) / (count - 1))
+        out.append(Estimate(mean, math.sqrt(var / count), count, seed))
+    return out
+
+
+def mean_estimate(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
+                  seed: int, workers: int | None = None) -> Estimate:
+    """Estimate E[fn(X)] for X standard normal in R^dim.
+
+    fn maps an (m, dim) block to m values and must be a pure function;
+    it may be called from several threads at once when workers is set.
+    """
+    return _mean_rows(fn, dim, n, seed, workers)[0]
 
 
 def estimate_expectation(F: ChaosVector, n: int, seed: int,
@@ -89,10 +104,15 @@ def estimate_expectation(F: ChaosVector, n: int, seed: int,
 
 def estimate_pair_expectation(F: ChaosVector, G: ChaosVector, n: int, seed: int,
                               workers: int | None = None) -> Estimate:
-    """E[FG] from common samples."""
-    dim = F.dim
-    return mean_estimate(lambda x: evaluate(F, x) * evaluate(G, x),
-                         dim, n, seed, workers)
+    """E[FG] from common samples, F and G read by one joint contraction
+    per chunk: one Hermite table and one basis serve both."""
+    plan = _plan((F, G))
+
+    def product(x: np.ndarray) -> np.ndarray:
+        f, g = _values(plan, x)
+        return f * g
+
+    return mean_estimate(product, F.dim, n, seed, workers)
 
 
 def estimate_lp_norm(F: ChaosVector, p: float, n: int, seed: int,

@@ -22,7 +22,7 @@ class MultiIndex:
     the label of the constant term.
     """
 
-    __slots__ = ("entries", "degree")
+    __slots__ = ("entries", "degree", "_hash")
 
     entries: tuple[tuple[int, int], ...]
     degree: int
@@ -38,8 +38,10 @@ class MultiIndex:
                 raise ValueError(f"multiplicity must be non-negative, got {mult}")
             if mult:
                 merged[idx] = merged.get(idx, 0) + mult
-        object.__setattr__(self, "entries", tuple(sorted(merged.items())))
+        entries = tuple(sorted(merged.items()))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "degree", sum(merged.values()))
+        object.__setattr__(self, "_hash", hash(entries))
 
     @classmethod
     def _canonical(cls, entries: tuple[tuple[int, int], ...], degree: int) -> "MultiIndex":
@@ -49,6 +51,7 @@ class MultiIndex:
         out = object.__new__(cls)
         object.__setattr__(out, "entries", entries)
         object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "_hash", hash(entries))
         return out
 
     @classmethod
@@ -70,7 +73,7 @@ class MultiIndex:
         return isinstance(other, MultiIndex) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash  # every dict operation asks; hashed once at construction
 
     def __lt__(self, other: "MultiIndex"):
         return self.sort_key() < other.sort_key()

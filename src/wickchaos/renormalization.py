@@ -35,11 +35,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chaos import (ChaosVector, _contract, _coordinatewise, _Store, add,
+from .chaos import (ChaosVector, _contract, _coordinatewise, _plan, _Store, add,
                     coeff_distance, from_tensor, scale, wick_power, wick_product)
 from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
-from .montecarlo import Estimate, mean_estimate
+from .montecarlo import Estimate, _mean_rows
 from .multiindex import EMPTY, MultiIndex
 from .stransform import s_transform
 from .tensors import SymTensor
@@ -183,8 +183,9 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
                         seed: int) -> list[Estimate]:
     """Monte Carlo over the imaginary copy: average Re p(x + iY).
 
-    Each point is one montecarlo.mean_estimate over the same seed, so all
-    points share the Y-samples and get their own mean and standard error.
+    The points are the rows of one Monte Carlo reduction: each chunk of
+    Y-samples is drawn once for all of them, and each point gets its own
+    mean and standard error, the same as a call with that point alone.
     The estimator is unbiased for :p(X):(x) at every truncation.
     """
     sig = np.asarray(_sigmas(p.dim, variances))
@@ -192,11 +193,12 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
     for x in pts:
         if x.shape != (p.dim,):
             raise DimensionMismatchError("point length does not match dim")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    return [mean_estimate(lambda y, x=x: _contract(p, x + 1j * (y * sig), _powers).real,
-                          p.dim, n, seed)
-            for x in pts]
+    plan = _plan((p,))
+
+    def rows(y: np.ndarray) -> np.ndarray:
+        return np.array([_contract(plan, x + 1j * (y * sig), _powers)[0].real for x in pts])
+
+    return _mean_rows(rows, p.dim, n, seed)
 
 
 def series_condition(p: PolySeries,

@@ -8,6 +8,7 @@ the sum of absolute contributions to that value.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 import wickchaos.chaos as chaos
 from wickchaos.chaos import ChaosVector, evaluate, evaluate_at, exponential_vector
+from wickchaos.errors import DomainError
 from wickchaos.montecarlo import estimate_pair_expectation
 from wickchaos.multiindex import EMPTY, MultiIndex
-from wickchaos.renormalization import PolySeries, wick_order_icopy_mc
+from wickchaos.renormalization import PolySeries, wick_exp_square, wick_order_icopy_mc
 from wickchaos.sampling import chunk_layout, chunk_normals
 
 from helpers import eval_chaos_ref, hermite_np
@@ -78,6 +80,85 @@ def test_sparse_support_in_a_wide_dim(data, seed):
     assert_matches_reference(F, x, evaluate(F, x))
 
 
+@st.composite
+def joint_vectors(draw):
+    """1-4 vectors of one dim read together.  Each is a constant, a repeat
+    of an earlier one (F is G), every label of degree <= min(order, 6) on
+    up to 3 coordinates of a pool (dense, so the plan cuts), or up to 60
+    labels on all of the pool or on one of two disjoint halves of it.  The
+    pool is all of a small dim, or 16 of 1000 coordinates."""
+    if draw(st.booleans()):
+        dim = 1000
+        pool = draw(st.lists(st.integers(0, dim - 1), min_size=16, max_size=16, unique=True))
+    else:
+        dim = draw(st.integers(1, 6))
+        pool = list(range(dim))
+    order = draw(st.integers(0, 10))
+    cut = draw(st.integers(0, len(pool)))
+    supports = {"all": pool, "low": pool[:cut], "high": pool[cut:]}
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("dense", "all", "low", "high", "constant", "repeat")))
+        if kind == "repeat" and out:
+            out.append(out[draw(st.integers(0, len(out) - 1))])
+            continue
+        terms = {EMPTY: draw(st.floats(-2.0, 2.0, allow_nan=False))}
+        if kind == "dense":
+            used = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            for exps in np.ndindex(*[min(order, 6) + 1] * len(used)):
+                if sum(exps) <= min(order, 6):
+                    terms[MultiIndex(zip(used, exps))] = float(rng.uniform(-2.0, 2.0))
+        coords = supports.get(kind)
+        if coords:
+            labels = st.lists(st.tuples(st.sampled_from(coords), st.integers(1, max(order, 1))),
+                              max_size=min(len(coords), 4))
+            for entries in draw(st.lists(labels, max_size=60)):
+                alpha = MultiIndex(entries)
+                if alpha.degree <= order:
+                    terms[alpha] = draw(st.floats(-2.0, 2.0, allow_nan=False))
+        out.append(ChaosVector(dim, order, terms, prune=0.0))
+    return tuple(out)
+
+
+@SETTINGS
+@given(joint_vectors(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_joint_rows_match_per_term_reference(vectors, n, seed):
+    x = np.random.default_rng(seed).normal(scale=1.5, size=(n, vectors[0].dim))
+    rows = chaos._evaluate(vectors, x)
+    assert rows.shape == (len(vectors), n)
+    for F, got in zip(vectors, rows):
+        assert_matches_reference(F, x, got)
+
+
+@pytest.mark.parametrize("cut", [True, False], ids=["cut", "no_cut"])
+def test_joint_plan_takes_both_routes(cut):
+    if cut:  # two dense vectors: 9 + 9 basis rows carry 45 labels
+        F = exponential_vector([0.5, -0.3], 8)
+        vectors = (F, exponential_vector([0.2, 0.4], 8), F)
+    else:  # two sparse vectors on disjoint coordinates of a wide dim
+        vectors = (ChaosVector(40, 4, {MultiIndex([(3, 2), (17, 1)]): 0.5, EMPTY: 1.0}),
+                   ChaosVector(40, 4, {MultiIndex([(25, 3)]): -2.0, MultiIndex([(31, 1)]): 1.5}))
+    assert (chaos._plan(vectors).head is not None) == cut
+    x = np.random.default_rng(3).normal(size=(3000, vectors[0].dim))
+    rows = chaos._evaluate(vectors, x)
+    for F, got in zip(vectors, rows):
+        assert_matches_reference(F, x, got, rows=range(0, 3000, 97))
+        assert np.max(np.abs(got - evaluate(F, x))) <= 1e-12 * (np.max(np.abs(got)) + 1.0)
+
+
+def test_joint_non_finite_raises_without_warnings():
+    # the second vector's Hermite recurrence overflows at order 600 and x = 4
+    F = ChaosVector.coordinate(0, 1, 600)
+    W = wick_exp_square(0.95, K=300).series
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            chaos._evaluate((F, W), [[4.0]])
+        with pytest.raises(DomainError):
+            estimate_pair_expectation(F, W, 1000, seed=1)
+
+
 def test_empty_and_constant_vectors():
     x = np.random.default_rng(0).normal(size=(7, 3))
     assert np.array_equal(evaluate(ChaosVector.zero(3, 4), x), np.zeros(7))
@@ -129,8 +210,12 @@ def test_repeat_and_threaded_twins_are_bitwise():
     again = evaluate(ChaosVector(4, 8, F.terms, prune=0.0), x)
     assert first.tobytes() == again.tobytes() == evaluate(F, x).tobytes()
     n = (1 << 17) + 123
-    serial = estimate_pair_expectation(F, G, n, seed=4)
-    assert estimate_pair_expectation(F, G, n, seed=4, workers=2) == serial
+    sparse = ChaosVector(4, 8, {MultiIndex([(1, 3)]): 0.7, MultiIndex([(0, 1), (3, 2)]): -0.4,
+                                EMPTY: 0.2})
+    for A, B in ((F, G), (F, sparse), (sparse, ChaosVector.coordinate(2, 4, 8)), (G, G)):
+        serial = estimate_pair_expectation(A, B, n, seed=4)
+        assert estimate_pair_expectation(A, B, n, seed=4, workers=2) == serial
+        assert estimate_pair_expectation(A, B, n, seed=4) == serial
 
 
 def icopy_reference(p, sig, point, n, seed):

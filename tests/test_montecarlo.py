@@ -117,3 +117,14 @@ def test_mc_identity_battery():
         est = estimate_expectation(F, n=10 ** 6, seed=1000 + trial)
         exact = F.coeff(MultiIndex(()))
         assert abs(est.value - exact) < 5 * max(est.std_error, 1e-12)
+
+
+@pytest.mark.heavy
+def test_pair_identity_battery():
+    # E[FG] = <F, G>, F and G read by one joint contraction per chunk
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        F = random_chaos(rng, 3, 3)
+        G = random_chaos(rng, 3, 3)
+        est = estimate_pair_expectation(F, G, n=10 ** 6, seed=2000 + trial)
+        assert abs(est.value - inner_product(F, G)) < 5 * max(est.std_error, 1e-12)

@@ -31,6 +31,11 @@ def test_immutable_and_hashable():
     with pytest.raises(AttributeError):
         a.degree = 7
     assert len({a, MultiIndex([(0, 1)]), EMPTY}) == 2
+    # the trusted constructor hashes like the checked one
+    b = MultiIndex._canonical(((0, 1),), 1)
+    assert hash(b) == hash(a) == hash(a.entries) and {a: 1}[b] == 1
+    with pytest.raises(AttributeError):
+        a._hash = 0
 
 
 def test_validation():

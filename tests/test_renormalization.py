@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wickchaos.montecarlo as montecarlo
 from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate_at,
                              gamma_norm, l2_norm, scale, wick_product)
 from wickchaos.errors import (DimensionMismatchError, DivergenceError,
@@ -19,6 +20,7 @@ from wickchaos.renormalization import (PolySeries, chaos_to_poly,
                                        series_condition, wick_exp_I2,
                                        wick_exp_square, wick_order_icopy_exact,
                                        wick_order_icopy_mc, wick_order_poly)
+from wickchaos.sampling import chunk_layout
 from wickchaos.tensors import SymTensor
 
 from helpers import expect_1d, hermite_np
@@ -191,6 +193,22 @@ def test_icopy_mc_points_are_independent_calls():
     together = wick_order_icopy_mc(p, [0.8, 1.4], pts, n=200_000, seed=9)
     alone = [wick_order_icopy_mc(p, [0.8, 1.4], [x], n=200_000, seed=9)[0] for x in pts]
     assert together == alone
+
+
+def test_icopy_mc_draws_each_chunk_once(monkeypatch):
+    p = PolySeries(2, {MultiIndex([(0, 2), (1, 1)]): 0.7, EMPTY: 0.3}, truncation=4)
+    drawn = []
+    real = montecarlo.chunk_normals
+
+    def spy(dim, seed, chunk_index, n_rows):
+        drawn.append(chunk_index)
+        return real(dim, seed, chunk_index, n_rows)
+
+    monkeypatch.setattr(montecarlo, "chunk_normals", spy)
+    n = 200_000
+    ests = wick_order_icopy_mc(p, [0.8, 1.4], [[0.2, -0.5], [1.0, 0.0], [-1.5, 2.0]], n, seed=9)
+    assert len(ests) == 3
+    assert drawn == [idx for idx, _ in chunk_layout(n)] and len(drawn) > 1
 
 
 def test_series_condition_is_squared_norm():
