@@ -73,20 +73,29 @@ those of the tail parts, and C[a, b] = c_{a+b} a dense |A| x |B| matrix,
 
 Per block of samples that is one BLAS product M = C Psi_B and one
 weighted column sum of Psi_A * M, instead of one numpy pass per term and
-entry: at d=4, K=8 a 45 x 45 matrix replaces 495 terms.  The cut is the
-median used coordinate or none at all, whichever gives fewer basis rows
-|A| + |B|.  With no cut, C is the coefficient row, Psi_B the plain basis
-matrix and F(x) = C Psi_B(x) one matrix-vector product per block, so
-sparse and wide vectors cost what the basis matrix costs.
+entry: at d=4, K=8 a 45 x 45 matrix replaces 495 terms.  The product is
+graded by degree.  With D the largest label degree, C[a, b] = 0 whenever
+deg a + deg b > D, so the heads split into two groups at the degree s
+that minimizes the cells |A_<=s| |B| + |A_>s| |B_<=D-s-1|: the low group
+multiplies all of Psi_B, the high group only the tails of degree
+<= D-s-1, which come first in Psi_B; one BLAS product per group.  At
+d=4, K=8 that is 10 x 45 + 35 x 15 = 975 of the 2,025 cells.  A group
+per degree would save more cells, but thin products cost more per call
+than they save; when no split saves a cell there is one group.  The cut
+is the median used coordinate or none at all, whichever gives fewer
+basis rows |A| + |B|.  With no cut, C is the coefficient row, Psi_B the
+plain basis matrix and F(x) = C Psi_B(x) one matrix-vector product per
+block, so sparse and wide vectors cost what the basis matrix costs.
 Each basis row is the product of its own entries' Hermite rows, gathered
 from one table per block.
 
 k vectors read on the same samples share one plan: the union of their
 coordinates, one cut by the same rule, the union of their head parts and
 of their tail parts, and their matrices stacked as k blocks of |A| rows
-(k rows with no cut).  Per block that is one Hermite table, one Psi_A
-and one Psi_B, one BLAS product of the stacked C and k column sums (with
-no cut, k matrix-vector products); montecarlo.estimate_pair_expectation
+(k rows with no cut), grouped by the largest label degree over all k.
+Per block that is one Hermite table, one Psi_A and one Psi_B, one BLAS
+product of the stacked C per group and k column sums (with no cut, k
+matrix-vector products); montecarlo.estimate_pair_expectation
 reads F and G so.  The plan (the cut, C and the gather indices) of one
 vector depends on it alone and is kept on it; a joint plan has no owner
 and is built per call.  A block has as many samples as fit _EVAL_CELLS =
@@ -96,9 +105,9 @@ all allocated once per call.  Besides them a call holds only its output
 and a copy of the sample columns the vectors use.  The same contraction
 runs renormalization.wick_order_icopy_mc on powers of complex points.
 BLAS picks its kernels by shape, so a row's value can differ in the last
-bits with the number of rows in its block or of vectors read with it;
-the same batch, or the same Monte Carlo chunk in any thread, always
-gives the same bits.
+bits with the number of rows in its block, of vectors read with it or of
+heads in its degree group; the same batch, or the same Monte Carlo chunk
+in any thread, always gives the same bits.
 """
 
 from __future__ import annotations
@@ -643,21 +652,25 @@ class _Plan(NamedTuple):
     """F_j(x) = Psi_A(x)^T C_j Psi_B(x) for the k vectors F_j read on the
     same samples (see the module docstring).
 
-    coords are the used coordinates and top the largest label.  C stacks
-    the C_j as k blocks of |A| rows; when there is no cut it holds one row
-    per vector and head is None, and when no coordinate is used it is the
-    column of the constants.  head and tail are each side's (table
-    indices, suffix starts) for _basis.  buffers are the leading shapes of
-    the Hermite table, Psi_A, Psi_B, the gather buffer and C Psi_B, and
-    block the samples per block.
+    coords are the used coordinates and top the largest label.  With a
+    cut, C is a tuple of one or two degree groups of head rows (_split),
+    low degrees first: each a (k, rows, width) array holding the C_j on
+    those rows and the first width tails, which are all the tails for the
+    first group and those of low enough degree for the second.  With no
+    cut, C holds one row per vector and head is None, and when no
+    coordinate is used it is the column of the constants.  head and tail
+    are each side's runs of (table indices, suffix starts) for _basis: one
+    head run per group, and on the tail side one run per distinct width.
+    buffers are the leading shapes of the Hermite table, Psi_A, Psi_B, the
+    gather buffer and C Psi_B, and block the samples per block.
     """
 
     k: int
     coords: list[int]
     top: int
-    C: np.ndarray
-    head: tuple[np.ndarray, list[int]] | None
-    tail: tuple[np.ndarray, list[int]] | None
+    C: np.ndarray | tuple[np.ndarray, ...]
+    head: list[tuple[np.ndarray, list[int]]] | None
+    tail: list[tuple[np.ndarray, list[int]]] | None
     buffers: list[tuple[int, ...]]
     block: int
 
@@ -672,11 +685,28 @@ def _rows(parts: list, u: int, col: dict[int, int]) -> tuple[np.ndarray, list[in
     return idx, [bisect_right(lens, j) for j in range(1, width)]
 
 
+def _split(head_deg: list[int], tail_deg: list[int], top_deg: int) -> int | None:
+    """The head degree s that splits the heads into two groups with the
+    fewest cells, |A_<=s| |B| + |A_>s| |B_<=top_deg-s-1|: a head of degree
+    > s and a tail of degree >= top_deg - s add up past the largest label
+    degree, so their cell is zero.  None when no split has fewer cells
+    than |A| |B|."""
+    hs, ts = sorted(head_deg), sorted(tail_deg)
+    best, cells = None, len(hs) * len(ts)
+    for s in sorted(set(hs[:-1])):
+        low = bisect_right(hs, s)
+        split = low * len(ts) + (len(hs) - low) * bisect_left(ts, top_deg - s)
+        if split < cells:
+            best, cells = s, split
+    return best
+
+
 def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
     """Cut the coordinates the stores use at the median one, or not at all
-    when the basis rows |A| + |B| would outnumber their distinct labels.
-    Parts are sorted by entry count, stably, so the plan is fixed by the
-    stores and their order."""
+    when the basis rows |A| + |B| would outnumber their distinct labels,
+    and group the heads by degree (_split).  Parts are sorted by entry
+    count, stably, within each run, so the plan is fixed by the stores and
+    their order."""
     k = len(stores)
     if any(F.dim != stores[0].dim for F in stores):
         raise DimensionMismatchError(f"dims differ: {[F.dim for F in stores]}")
@@ -698,25 +728,42 @@ def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
             cells.append((j, h, t, c))
     if len(heads) + len(tails) > len(labels):  # no cut is as small: A = {()}
         parts = sorted(labels, key=lambda a: len(a.entries))
-        head, tail = None, _rows([a.entries for a in parts], u, col)
+        head, tail = None, [_rows([a.entries for a in parts], u, col)]
         row = {a: r for r, a in enumerate(parts)}
         C = np.zeros((k, len(parts)))
         for j, F in enumerate(stores):
             C[j, [row[a] for a in F._terms]] = list(F._terms.values())
-        p = 0
+        p, q = 0, len(parts)
     else:
         heads, tails = sorted(heads, key=len), sorted(tails, key=len)
-        head, tail = _rows(heads, u, col), _rows(tails, u, col)
+        head_deg = [sum(m for _, m in h) for h in heads]
+        tail_deg = [sum(m for _, m in t) for t in tails]
+        top_deg = max(a.degree for a in labels)
+        s = _split(head_deg, tail_deg, top_deg)
+        if s is None:
+            head_runs, tail_runs = [heads], [tails]
+        else:
+            head_runs = [[h for h, e in zip(heads, head_deg) if e <= s],
+                         [h for h, e in zip(heads, head_deg) if e > s]]
+            tail_runs = [[t for t, e in zip(tails, tail_deg) if e < top_deg - s],
+                         [t for t, e in zip(tails, tail_deg) if e >= top_deg - s]]
+        heads, tails = list(chain(*head_runs)), list(chain(*tail_runs))
+        head = [_rows(run, u, col) for run in head_runs]
+        tail = [_rows(run, u, col) for run in tail_runs]
         head_row = {h: r for r, h in enumerate(heads)}
         tail_row = {t: r for r, t in enumerate(tails)}
         p, q = len(heads), len(tails)
-        C = np.zeros(k * p * q)
-        C[[(j * p + head_row[h]) * q + tail_row[t] for j, h, t, _ in cells]] = \
+        full = np.zeros(k * p * q)
+        full[[(j * p + head_row[h]) * q + tail_row[t] for j, h, t, _ in cells]] = \
             [c for *_, c in cells]
-        C = C.reshape(-1, q)
-    sides = [tail] if head is None else [head, tail]
-    spare = max((len(idx) - starts[0] for idx, starts in sides if starts), default=0)
-    buffers = [(top + 1, u), (p,), (C.shape[1],), (spare,), (k * p,)]
+        full = full.reshape(k, p, q)
+        rows = len(head_runs[0])
+        C = (np.ascontiguousarray(full[:, :rows]),)
+        if s is not None:
+            C += (full[:, rows:, :len(tail_runs[0])].copy(),)
+    runs = tail if head is None else head + tail
+    spare = max((len(idx) - starts[0] for idx, starts in runs if starts), default=0)
+    buffers = [(top + 1, u), (p,), (q,), (spare,), (k * p,)]
     block = max(1, _EVAL_CELLS // sum(math.prod(b) for b in buffers))
     return _Plan(k, coords, top, C, head, tail, buffers, block)
 
@@ -733,16 +780,21 @@ def _plan(stores: tuple[_Store, ...]) -> _Plan:
     return F._plan
 
 
-def _basis(flat: np.ndarray, idx: np.ndarray, starts: list[int],
+def _basis(flat: np.ndarray, runs: list[tuple[np.ndarray, list[int]]],
            psi: np.ndarray, spare: np.ndarray) -> None:
-    """Fill psi[r] with the product of the table rows idx[r, :len(part r)].
-    Parts are sorted by entry count, so column j multiplies the suffix
-    starts[j-1]:; spare holds the gathered factors."""
-    flat.take(idx[:, 0], axis=0, out=psi, mode="clip")
-    for j, s in enumerate(starts, 1):
-        factor = spare[:len(idx) - s]
-        flat.take(idx[s:, j], axis=0, out=factor, mode="clip")
-        psi[s:] *= factor
+    """Fill the rows of psi, run after run, with the products of the table
+    rows idx[r, :len(part r)] of each run (idx, starts).  A run's parts are
+    sorted by entry count, so column j multiplies its suffix starts[j-1]:;
+    spare holds the gathered factors."""
+    first = 0
+    for idx, starts in runs:
+        rows = psi[first:first + len(idx)]
+        flat.take(idx[:, 0], axis=0, out=rows, mode="clip")
+        for j, s in enumerate(starts, 1):
+            factor = spare[:len(idx) - s]
+            flat.take(idx[s:, j], axis=0, out=factor, mode="clip")
+            rows[s:] *= factor
+        first += len(idx)
 
 
 def _contract(plan: _Plan, x: np.ndarray, table) -> np.ndarray:
@@ -753,9 +805,9 @@ def _contract(plan: _Plan, x: np.ndarray, table) -> np.ndarray:
     cols, m = 0..top, label 0 being 1: hermite_rows for evaluate, powers of
     complex points for renormalization.wick_order_icopy_mc.  Each block
     builds one table, Psi_A and Psi_B for all k vectors, and one product
-    of the stacked C.  The buffers take _EVAL_CELLS entries, whatever the
-    size of the vectors, and are allocated once per call, next to a copy
-    of the used columns of x.
+    of the stacked C per degree group.  The buffers take _EVAL_CELLS
+    entries, whatever the size of the vectors, and are allocated once per
+    call, next to a copy of the used columns of x.
     """
     k, coords, top, C, head, tail, buffers, block = plan
     n = x.shape[0]
@@ -771,14 +823,18 @@ def _contract(plan: _Plan, x: np.ndarray, table) -> np.ndarray:
         tab, psi_a, psi_b, factor, prod = work
         table(xs[:, start:stop], top, tab)
         flat = tab.reshape(-1, stop - start)
-        _basis(flat, *tail, psi_b, factor)
+        _basis(flat, tail, psi_b, factor)
         if head is None:
             for c, o in zip(C, out[:, start:stop]):
                 np.dot(c, psi_b, out=o)  # matmul is 5x slower on one row
         else:
-            _basis(flat, *head, psi_a, factor)
-            np.matmul(C, psi_b, out=prod)
-            for m, o in zip(prod.reshape(k, -1, stop - start), out[:, start:stop]):
+            _basis(flat, head, psi_a, factor)
+            prods, first = prod.reshape(k, -1, stop - start), 0
+            for group in C:
+                _, rows, width = group.shape
+                np.matmul(group, psi_b[:width], out=prods[:, first:first + rows])
+                first += rows
+            for m, o in zip(prods, out[:, start:stop]):
                 np.einsum("ij,ij->j", psi_a, m, out=o)
     return out
 

@@ -9,6 +9,7 @@ validation, or usage errors.  No environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -18,7 +19,10 @@ from .runtime import CheckOutput, ScalarOutput, Session, VectorOutput
 from .serialization import chaos_to_obj
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _argparser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parse_args keeps
+    nothing between calls."""
     ap = argparse.ArgumentParser(
         prog="wickchaos",
         description="Wiener chaos calculator: Wick products, Malliavin "
@@ -91,8 +95,7 @@ def _print_check(out: CheckOutput, csv: bool):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
+    args = _argparser().parse_args(argv)
 
     if args.command is not None and args.script not in (None, "-"):
         print("error: give either a script file or -c TEXT, not both",

@@ -1,4 +1,4 @@
-"""End-to-end CLI runs through a subprocess."""
+"""End-to-end CLI runs through a subprocess, and main called in-process."""
 
 import json
 import math
@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+
+from wickchaos.cli import main
 
 
 def run_cli(*args, stdin=None):
@@ -200,3 +202,16 @@ def test_check_all_default_samples():
     assert proc.returncode == 0
     rows = [json.loads(l) for l in lines(proc)]
     assert all(abs(r["zscore"]) <= 3.0 for r in rows)
+
+
+def test_in_process_calls_print_what_fresh_processes_print(capsys):
+    """main builds its parser once per process; calls that follow one
+    another in a process still print what each prints in a new one."""
+    script = "F = I1{(1): 2.0}\nexpect F*F"
+    for argv in (["--csv", "-c", script], ["-c", script],
+                 ["--dim", "3", "-c", "F = I1{(3): 1.0}\nexpect F*F"],
+                 ["--dim", "0", "-c", "expect 1"], ["-c", "expect 1"]):
+        fresh = run_cli(*argv)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

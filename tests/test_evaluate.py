@@ -84,9 +84,11 @@ def test_sparse_support_in_a_wide_dim(data, seed):
 def joint_vectors(draw):
     """1-4 vectors of one dim read together.  Each is a constant, a repeat
     of an earlier one (F is G), every label of degree <= min(order, 6) on
-    up to 3 coordinates of a pool (dense, so the plan cuts), or up to 60
-    labels on all of the pool or on one of two disjoint halves of it.  The
-    pool is all of a small dim, or 16 of 1000 coordinates."""
+    up to 4 coordinates of a pool (dense, so the plan cuts, and degree
+    dense, so C has zero cells past the top degree and the plan groups
+    its heads by degree), or up to 60 labels on all of the pool or on one
+    of two disjoint halves of it.  The pool is all of a small dim, or 16
+    of 1000 coordinates."""
     if draw(st.booleans()):
         dim = 1000
         pool = draw(st.lists(st.integers(0, dim - 1), min_size=16, max_size=16, unique=True))
@@ -104,7 +106,7 @@ def joint_vectors(draw):
             continue
         terms = {EMPTY: draw(st.floats(-2.0, 2.0, allow_nan=False))}
         if kind == "dense":
-            used = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+            used = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
             rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
             for exps in np.ndindex(*[min(order, 6) + 1] * len(used)):
                 if sum(exps) <= min(order, 6):
@@ -145,6 +147,29 @@ def test_joint_plan_takes_both_routes(cut):
     for F, got in zip(vectors, rows):
         assert_matches_reference(F, x, got, rows=range(0, 3000, 97))
         assert np.max(np.abs(got - evaluate(F, x))) <= 1e-12 * (np.max(np.abs(got)) + 1.0)
+
+
+E4 = exponential_vector([0.6, -0.4, 0.3, 0.2], 8)
+BOX = ChaosVector(4, 8, {MultiIndex(enumerate(e)): 1.0 + sum(e) / 10
+                         for e in np.ndindex(3, 3, 3, 3)})
+
+
+@pytest.mark.parametrize("vectors, groups", [
+    # deg a + deg b <= 8: the 10 heads of degree <= 3 meet all 45 tails, the
+    # other 35 only the 15 tails of degree <= 4, 975 of 2,025 cells
+    ((E4,), [(10, 45), (35, 15)]),
+    ((E4, exponential_vector([0.3, -0.2, 0.1, 0.4], 8)), [(10, 45), (35, 15)]),
+    # every exponent <= 2: 9 heads and 9 tails of degree <= 4, no zero cell
+    ((BOX,), [(9, 9)]),
+], ids=["exp", "exp_pair", "box"])
+def test_graded_plan_layout(vectors, groups):
+    C = chaos._plan(vectors).C
+    assert [g.shape for g in C] == [(len(vectors), rows, width) for rows, width in groups]
+    # every coefficient has its cell: no nonzero cell was dropped
+    assert sum(np.count_nonzero(g) for g in C) == sum(len(F.terms) for F in vectors)
+    x = np.random.default_rng(6).normal(size=(3000, 4))
+    for F, got in zip(vectors, chaos._evaluate(vectors, x)):
+        assert_matches_reference(F, x, got, rows=range(0, 3000, 97))
 
 
 def test_joint_non_finite_raises_without_warnings():
