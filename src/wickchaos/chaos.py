@@ -53,10 +53,13 @@ as they are coded; an output code that is one of them keeps that
 MultiIndex, and any other is decoded by divmod into a new one through a
 trusted constructor.
 
-The sparse store itself (_Store) is shared with renormalization.PolySeries,
-whose labels are monomial exponents.  Multiplying monomials adds exponents,
-so poly_mul is wick_product on those labels: the Wick convolution, which is
-why renormalization satisfies :pq: = :p: <> :q:.  The remaining maps act on
+The sparse store itself (_Store) has three users.  SymTensor keeps the
+value of a symmetric order-n tensor at a sorted index tuple t under the
+label MultiIndex.from_indices(t), and from_tensor and to_tensor rescale it
+by n!/alpha! to and from I_n(f).  renormalization.PolySeries keeps
+monomial exponents.  Multiplying monomials adds exponents, so poly_mul is
+wick_product on those labels: the Wick convolution, which is why
+renormalization satisfies :pq: = :p: <> :q:.  The remaining maps act on
 one coordinate at a time, each label m becoming a 1-D expansion
 sum_{n <= m} w_n (label n): the Hermite shift of stransform.translate and
 the monomial/Hermite changes of basis of renormalization.poly_to_chaos and
@@ -124,7 +127,6 @@ from .errors import DimensionMismatchError, DomainError, OrderOverflowError
 from .hermite import ORDER_LIMIT, hermite_rows
 from .multiindex import EMPTY, MultiIndex
 from .sampling import SampleBatch
-from .tensors import SymTensor, ordered_count
 
 PRUNE_DEFAULT = 1e-14
 
@@ -134,11 +136,10 @@ _EVAL_CELLS = 1 << 18  # buffer entries per evaluation block
 class _Store:
     """Sparse map MultiIndex -> finite float under a hard degree cap.
 
-    The one store behind ChaosVector (Hermite labels) and
-    renormalization.PolySeries (monomial exponents).  No stored degree may
-    exceed max_order, no basis index may reach dim, and a NaN or inf
-    coefficient raises DomainError; coefficients with |c| <= prune are
-    dropped.
+    The one store behind ChaosVector, SymTensor and
+    renormalization.PolySeries.  No stored degree may exceed max_order, no
+    basis index may reach dim, and a NaN or inf coefficient raises
+    DomainError; coefficients with |c| <= prune are dropped.
     """
 
     __slots__ = ("dim", "max_order", "prune", "_terms", "_plan")
@@ -289,6 +290,65 @@ class ChaosVector(_Store):
         return NotImplemented
 
 
+class SymTensor(_Store):
+    """Symmetric order-n tensor over R^dim, a store of the one degree n.
+
+    The values of index tuples that sort alike are summed, then validated
+    and pruned like any store coefficient.  The dense entry at an ordered
+    tuple is the value of its sorted form, so symmetry holds by
+    construction; .values reads the store back keyed by sorted tuples.
+    """
+
+    __slots__ = ()
+    _cap = "order"
+
+    def __init__(self, dim: int, order: int,
+                 values: Mapping[tuple[int, ...], float] | None = None,
+                 prune: float = PRUNE_DEFAULT):
+        terms: dict[MultiIndex, float] = {}
+        for t, v in (values or {}).items():
+            if len(t) != order:
+                raise ValueError(f"tuple {t} has length {len(t)}, expected order {order}")
+            if any(int(i) < 0 for i in t):
+                raise DimensionMismatchError(f"tuple {t} has a negative index")
+            alpha = MultiIndex.from_indices(t)
+            terms[alpha] = terms.get(alpha, 0.0) + float(v)
+        super().__init__(dim, order, terms, prune)
+
+    @property
+    def order(self) -> int:
+        return self.max_order
+
+    @property
+    def values(self) -> dict[tuple[int, ...], float]:
+        return {a.to_indices(): v for a, v in self._terms.items()}
+
+    def value(self, t: Iterable[int]) -> float:
+        return self.coeff(MultiIndex.from_indices(t))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other):
+        return _Store.__eq__(self, other) and self.order == other.order
+
+    def norm_sq(self) -> float:
+        """Sum over ordered tuples of value^2."""
+        return sum(a.ordered_count() * v * v for a, v in self._terms.items())
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    def scale(self, c: float) -> "SymTensor":
+        return SymTensor._new(self.dim, self.order,
+                              {a: c * v for a, v in self._terms.items()}, 0.0)
+
+    def add(self, other: "SymTensor") -> "SymTensor":
+        if self.order != other.order:
+            raise ValueError("tensor orders differ")
+        return add(self, other)
+
+
 def _common(F: ChaosVector, G: ChaosVector) -> tuple[int, int, float]:
     if F.dim != G.dim:
         raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
@@ -317,30 +377,23 @@ def scale(F: ChaosVector, c: float) -> ChaosVector:
 def from_tensor(f: SymTensor, max_order: int | None = None) -> ChaosVector:
     """I_n(f) for a symmetric order-n tensor, in Hermite coordinates.
 
-    The coefficient at the multi-index alpha of a stored tuple is
-    (n!/alpha!) * value: the count of ordered tuples collapsing onto the
-    representative times the stored value.  This reproduces
-    I_n(g^{(x)n}) = |g|^n H_n(g~/|g|) and the isometry E I_n(f)^2 = n! |f|^2.
+    The coefficient at a label alpha is (n!/alpha!) * value: the count of
+    ordered tuples collapsing onto the sorted one times the stored value.
+    This reproduces I_n(g^{(x)n}) = |g|^n H_n(g~/|g|) and the isometry
+    E I_n(f)^2 = n! |f|^2.
     """
     n = f.order
     cap = n if max_order is None else max_order
     if n > cap:
         raise OrderOverflowError(f"tensor order {n} exceeds max_order {cap}")
-    terms: dict[MultiIndex, float] = {}
-    for t, v in f.values.items():
-        alpha = MultiIndex.from_indices(t)
-        terms[alpha] = terms.get(alpha, 0.0) + ordered_count(t) * v
-    return ChaosVector(f.dim, cap, terms, prune=0.0)
+    return ChaosVector(f.dim, cap, {a: a.ordered_count() * v for a, v in f._terms.items()},
+                       prune=0.0)
 
 
 def to_tensor(F: ChaosVector, n: int) -> SymTensor:
     """Extract f_n with degree-n part of F equal to I_n(f_n)."""
-    vals: dict[tuple[int, ...], float] = {}
-    for alpha, c in F._terms.items():
-        if alpha.degree == n:
-            t = alpha.to_indices()
-            vals[t] = c / ordered_count(t)
-    return SymTensor(F.dim, n, vals, prune=0.0)
+    return SymTensor._new(F.dim, n, {a: c / a.ordered_count() for a, c in F._terms.items()
+                                     if a.degree == n}, 0.0)
 
 
 # -- inner products and norms ---------------------------------------------

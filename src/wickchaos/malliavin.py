@@ -21,7 +21,6 @@ from .chaos import (ChaosVector, add, inner_product, ordinary_product, scale,
                     wick_product)
 from .errors import DimensionMismatchError
 from .multiindex import MultiIndex
-from .tensors import ordered_count
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def sobolev_norm(F: ChaosVector, k: int) -> float:
     total = 0.0
     for i in range(k + 1):
         for t, DtF in higher_derivative(F, i).items():
-            total += ordered_count(t) * inner_product(DtF, DtF)
+            total += MultiIndex.from_indices(t).ordered_count() * inner_product(DtF, DtF)
     return math.sqrt(total)
 
 

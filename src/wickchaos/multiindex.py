@@ -112,6 +112,12 @@ class MultiIndex:
             out *= factorial(m)
         return out
 
+    def ordered_count(self) -> float:
+        """n!/alpha! for degree n, the ordered index tuples that sort to this
+        label: exact in integers, rounded once."""
+        return float(math.factorial(self.degree)
+                     // math.prod(math.factorial(m) for _, m in self.entries))
+
     def weighted(self, *factors: float) -> float:
         """alpha! * factors[0] * factors[1] * ..., left to right in floats up
         to degree ORDER_LIMIT.  Beyond it alpha! overflows a double while the

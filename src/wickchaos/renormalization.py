@@ -35,14 +35,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chaos import (ChaosVector, _contract, _coordinatewise, _plan, _Store, add,
-                    coeff_distance, from_tensor, scale, wick_power, wick_product)
+from .chaos import (ChaosVector, SymTensor, _contract, _coordinatewise, _plan, _Store,
+                    add, coeff_distance, from_tensor, scale, wick_power, wick_product)
 from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
 from .montecarlo import Estimate, _mean_rows
 from .multiindex import EMPTY, MultiIndex
 from .stransform import s_transform
-from .tensors import SymTensor
 
 NEGDEF_TOL = 1e-12
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import dsl
-from .chaos import (ChaosVector, add, evaluate_at, expectation,
+from .chaos import (ChaosVector, SymTensor, add, evaluate_at, expectation,
                     exponential_vector, from_tensor, ordinary_product, scale,
                     wick_power, wick_product)
 from .checks import CHECKS, CheckRow, run_checks
@@ -23,7 +23,6 @@ from .renormalization import (PolySeries, poly_add, poly_mul, poly_power, poly_s
                               wick_order_poly)
 from .stransform import s_transform, translate
 from .stratonovich import stratonovich_integral
-from .tensors import SymTensor
 from .serialization import chaos_to_obj
 
 

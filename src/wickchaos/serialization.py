@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .chaos import ChaosVector
+from .chaos import ChaosVector, SymTensor
 from .errors import SchemaError
 from .multiindex import MultiIndex
 from .renormalization import PolySeries
-from .tensors import SymTensor
 
 
 def _require_object(obj: Any, path: str, allowed: tuple[str, ...]) -> dict:

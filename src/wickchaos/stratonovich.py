@@ -13,27 +13,28 @@ the identity of R^d.
 
 from __future__ import annotations
 
-from .chaos import ChaosVector, add, from_tensor, ordinary_product, scale
+from .chaos import ChaosVector, SymTensor, add, from_tensor, ordinary_product, scale
 from .hermite import hu_meyer_coeff
-from .tensors import SymTensor, ordered_count
+from .multiindex import MultiIndex
 
 
 def trace(f: SymTensor) -> SymTensor:
     """(Tr f)[t] = sum_i f[t + (i, i)], one diagonal contraction.
 
-    Each stored tuple s feeds s minus (i, i) once per distinct index i it
-    holds twice or more.  Read in sorted order, every entry sums its terms
-    in increasing i, and the entries come out in sorted order.
+    Each label alpha feeds alpha - 2 e_i once per index i it holds twice
+    or more.  Read in sorted-tuple order, every entry sums its terms in
+    increasing i, and the entries come out in sorted-tuple order.
     """
     if f.order < 2:
         raise ValueError("trace needs order >= 2")
-    vals: dict[tuple[int, ...], float] = {}
-    for s, v in sorted(f.values.items()):
-        for k in range(len(s) - 1):
-            if s[k] == s[k + 1] and (k == 0 or s[k - 1] != s[k]):
-                t = s[:k] + s[k + 2:]
-                vals[t] = vals.get(t, 0.0) + v
-    return SymTensor(f.dim, f.order - 2, dict(sorted(vals.items())), prune=0.0)
+    vals: dict[MultiIndex, float] = {}
+    for alpha, v in sorted(f.items(), key=lambda kv: kv[0].to_indices()):
+        for i, m in alpha.entries:
+            if m >= 2:
+                beta = MultiIndex((j, mj - 2 * (j == i)) for j, mj in alpha.entries)
+                vals[beta] = vals.get(beta, 0.0) + v
+    vals = dict(sorted(vals.items(), key=lambda kv: kv[0].to_indices()))
+    return SymTensor._new(f.dim, f.order - 2, vals, 0.0)
 
 
 def trace_k(f: SymTensor, k: int) -> SymTensor:
@@ -86,11 +87,11 @@ def stratonovich_partial_sum(f: SymTensor, n_basis: int) -> ChaosVector:
     n = f.order
     dim = f.dim
     out = ChaosVector.zero(dim, n)
-    for t, v in f.values.items():
-        if any(j >= n_basis for j in t):
+    for alpha, v in f.items():
+        if alpha.max_index() >= n_basis:
             continue
         prod = ChaosVector.constant(1.0, dim, n)
-        for j in t:
+        for j in alpha.to_indices():
             prod = ordinary_product(prod, ChaosVector.coordinate(j, dim, n))
-        out = add(out, scale(prod, ordered_count(t) * v))
+        out = add(out, scale(prod, alpha.ordered_count() * v))
     return out

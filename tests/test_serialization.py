@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickchaos.chaos import ChaosVector
 from wickchaos.errors import DomainError, SchemaError
@@ -194,3 +196,62 @@ def test_seventeen_digit_fidelity():
     # irrational coefficients roundtrip exactly through repr-style floats
     F = ChaosVector(1, 2, {MultiIndex([(0, 2)]): float(np.pi) / 3.0}, prune=0.0)
     assert loads_chaos(dumps(F)).coeff(MultiIndex([(0, 2)])) == float(np.pi) / 3.0
+
+
+# -- generated values ----------------------------------------------------------------
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# any finite nonzero double, subnormals included
+finite = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@st.composite
+def labels(draw, dim, degree):
+    d = draw(st.integers(0, degree))
+    return MultiIndex.from_indices(draw(st.lists(st.integers(0, dim - 1), min_size=d, max_size=d)))
+
+
+@st.composite
+def stores(draw, cls):
+    dim, degree = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    terms = draw(st.dictionaries(labels(dim, degree), finite, max_size=6))
+    if cls is PolySeries:
+        return PolySeries(dim, terms, degree)
+    return ChaosVector(dim, degree, terms, prune=0.0)
+
+
+@st.composite
+def sym_tensors(draw):
+    dim, order = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    index = st.lists(st.integers(0, dim - 1), min_size=order, max_size=order).map(
+        lambda t: tuple(sorted(t)))  # one key per sorted tuple: nothing sums, nothing overflows
+    return SymTensor(dim, order, draw(st.dictionaries(index, finite, max_size=6)), prune=0.0)
+
+
+def assert_roundtrip(value, loads):
+    text = dumps(value)
+    back = loads(text)
+    assert back == value
+    assert dumps(back) == text
+    got = back.values if isinstance(back, SymTensor) else back.terms
+    want = value.values if isinstance(value, SymTensor) else value.terms
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+@SETTINGS
+@given(F=stores(ChaosVector))
+def test_chaos_roundtrip_property(F):
+    assert_roundtrip(F, loads_chaos)
+
+
+@SETTINGS
+@given(p=stores(PolySeries))
+def test_poly_roundtrip_property(p):
+    assert_roundtrip(p, loads_poly)
+
+
+@SETTINGS
+@given(f=sym_tensors())
+def test_tensor_roundtrip_property(f):
+    assert_roundtrip(f, loads_tensor)
