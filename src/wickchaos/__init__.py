@@ -11,7 +11,8 @@ cross-checks.  Hermite polynomials follow the probabilists' convention
 from .chaos import (ChaosVector, add, coeff_distance, evaluate, evaluate_at,
                     expectation, exponential_vector, from_tensor, gamma_norm,
                     inner_product, l2_norm, ordinary_product, scale,
-                    second_quantization, to_tensor, wick_power, wick_product)
+                    second_quantization, to_tensor, wick_exp, wick_power,
+                    wick_product)
 from .checks import CheckRow, run_checks
 from .errors import (DimensionMismatchError, DivergenceError, DomainError,
                      MismatchError, OrderOverflowError, ParseError,

@@ -53,6 +53,18 @@ as they are coded; an output code that is one of them keeps that
 MultiIndex, and any other is decoded by divmod into a new one through a
 trusted constructor.
 
+The Wick exponential runs on the same codes.  Second quantization
+respects <>, Gamma(e^t)(F<>G) = Gamma(e^t)F <> Gamma(e^t)G, so at t = 0
+the number operator N (n on degree n) is a derivation for <>, and G =
+exp<>(F) = sum_k F^{<>k} / k! solves N G = (N F) <> G degree by degree:
+
+    G_0 = exp(E F),   G_n = (1/n) sum_{m=1..n} m F_m <> G_{n-m}.
+
+G_n reads only F's parts of degree <= n, so projecting onto degrees <= K
+is exact.  wick_exp makes one _convolve of the groups (G_{n-m}, m F_m) per
+degree; exponential_vector and renormalization's quadratic exponentials
+call it.
+
 The sparse store itself (_Store) has three users.  SymTensor keeps the
 value of a symmetric order-n tensor at a sorted index tuple t under the
 label MultiIndex.from_indices(t), and from_tensor and to_tensor rescale it
@@ -672,31 +684,39 @@ def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:
     return out
 
 
+def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
+    """exp<>(F) projected onto degrees <= max_order by the recursion in the
+    module docstring, with F's type and prune threshold; F's parts above
+    max_order are dropped first.  DomainError if exp(E F) overflows."""
+    low = type(F)._new(F.dim, max_order, {a: c for a, c in F._terms.items()
+                                          if 0 < a.degree <= max_order}, 0.0)
+    try:
+        g0 = math.exp(expectation(F))
+    except OverflowError:
+        raise DomainError(f"exp of E F = {expectation(F)} overflows") from None
+    base = max_order + 1
+    coords, place = _digits(base, low)
+    labels: dict[int, MultiIndex] = {0: EMPTY}
+    parts: dict[int, list] = {}  # m -> m F_m
+    for m, code, c in _coded(low, place, labels):
+        parts.setdefault(m, []).append((m, code, m * c))
+    cells = base ** len(coords)
+    G = {0: [(0, 0, g0)]}  # n -> G_n, for the degrees n that have a group
+    for n in range(1, base):
+        if groups := [(G[n - m], fm) for m, fm in parts.items() if n - m in G]:
+            G[n] = [(n, k, s / n) for k, s in _convolve(groups, n, cells).items()]
+    out = {k: s for Gn in G.values() for _, k, s in Gn}
+    return _decoded(out, base, coords, labels, F.dim, max_order, F.prune, type(F))
+
+
 def exponential_vector(f: Sequence[float], max_order: int) -> ChaosVector:
-    """Truncation of eps(f) = sum_n I_n(f^{(x)n}) / n!.
+    """Truncation of eps(f) = exp<>(f~) = sum_n I_n(f^{(x)n}) / n!.
 
     In Hermite coordinates the coefficient at alpha is prod_i f_i^{alpha_i}
     / alpha_i!.  Built unpruned: the 1/alpha! decay crosses any fixed
     threshold while the matching Hermite values grow.
     """
-    dim = max(len(f), 1)
-    support = [(i, float(v)) for i, v in enumerate(f) if v != 0.0]
-    terms: dict[MultiIndex, float] = {EMPTY: 1.0}
-
-    def rec(pos: int, remaining: int, exps: list[tuple[int, int]], weight: float):
-        if pos == len(support):
-            if exps:
-                terms[MultiIndex(tuple(exps))] = weight
-            return
-        idx, val = support[pos]
-        rec(pos + 1, remaining, exps, weight)
-        w = weight
-        for m in range(1, remaining + 1):
-            w *= val / m
-            rec(pos + 1, remaining - m, exps + [(idx, m)], w)
-
-    rec(0, max_order, [], 1.0)
-    return ChaosVector(dim, max_order, terms, prune=0.0)
+    return wick_exp(ChaosVector.linear(list(f) or [0.0], prune=0.0), max_order)
 
 
 # -- evaluation (bilinear form, see the module docstring) -------------------

@@ -28,10 +28,9 @@ from .montecarlo import (ZSCORE_THRESHOLD, Estimate, estimate_lp_norm,
                          estimate_pair_expectation, estimate_expectation,
                          zscore_check)
 from .multiindex import MultiIndex
-from .renormalization import (PolySeries, poly_mul, series_condition,
+from .renormalization import (PolySeries, renorm_product_check, series_condition,
                               wick_exp_square, wick_order_icopy_exact,
-                              wick_order_icopy_mc, wick_order_poly,
-                              renorm_product_check)
+                              wick_order_icopy_mc, wick_order_poly)
 from .stransform import s_transform, s_transform_mc, translate
 from .stratonovich import (ito_from_stratonovich, stratonovich_integral,
                            stratonovich_partial_sum)

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import ParseError, WickChaosError
+from .errors import WickChaosError
 from .runtime import CheckOutput, ScalarOutput, Session, VectorOutput
 from .serialization import chaos_to_obj
 
@@ -132,10 +132,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _print_check(output, csv)
                 if not output.passed:
                     checks_failed = True
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except WickChaosError as e:
+    except WickChaosError as e:  # ParseError included
         print(f"error: {e}", file=sys.stderr)
         return 2
 

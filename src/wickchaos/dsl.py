@@ -257,18 +257,14 @@ class _Parser:
             return EvalCmd(expr=expr, point=point, line=tok.line, col=tok.col)
         if word == "expect":
             return ExpectCmd(expr=self.parse_expr(), line=tok.line, col=tok.col)
-        if word == "stransform":
+        if word in ("stransform", "translate"):
             expr = self.parse_expr()
             if self.at_op(","):
                 self.advance()
-            xi = self.parse_numbers(minimum=1)
-            return STransformCmd(expr=expr, xi=xi, line=tok.line, col=tok.col)
-        if word == "translate":
-            expr = self.parse_expr()
-            if self.at_op(","):
-                self.advance()
-            shift = self.parse_numbers(minimum=1)
-            return TranslateCmd(expr=expr, shift=shift, line=tok.line, col=tok.col)
+            nums = self.parse_numbers(minimum=1)
+            if word == "stransform":
+                return STransformCmd(expr=expr, xi=nums, line=tok.line, col=tok.col)
+            return TranslateCmd(expr=expr, shift=nums, line=tok.line, col=tok.col)
         if word == "renorm":
             return RenormCmd(expr=self.parse_expr(), line=tok.line, col=tok.col)
         if word == "humeyer":

@@ -39,8 +39,6 @@ class Estimate:
 def _pairwise_sum(parts: list[tuple[float, float, int]]) -> tuple[float, float, int]:
     """Reduce per-chunk (sum, sum of squares, count) by adjacent pairing."""
     items = list(parts)
-    if not items:
-        return 0.0, 0.0, 0
     while len(items) > 1:
         merged = []
         for i in range(0, len(items) - 1, 2):

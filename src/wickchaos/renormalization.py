@@ -24,7 +24,8 @@ square-exponential has the L2 expansion
 convergent iff |lam| < 1, with closed form
 (1+lam)^{-1/2} exp(lam x^2 / (2(1+lam))).  The multivariate version for a
 quadratic form x'Mx/2 diagonalizes M and multiplies per-eigenvalue factors
-exp(-lam_n/2 - ln(1+lam_n)/2 + lam_n z_n^2 / (2(1+lam_n))).
+exp(-lam_n/2 - ln(1+lam_n)/2 + lam_n z_n^2 / (2(1+lam_n))).  Both series
+are chaos.wick_exp calls, exp<>(lam H_2 / 2) and exp<>(I_2(M)/2 - tr M/2).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chaos import (ChaosVector, SymTensor, _contract, _coordinatewise, _plan, _Store,
-                    add, coeff_distance, from_tensor, scale, wick_power, wick_product)
+                    add, coeff_distance, from_tensor, scale, wick_exp, wick_power, wick_product)
 from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
 from .montecarlo import Estimate, _mean_rows
@@ -259,15 +260,8 @@ def wick_exp_square(lam: float, K: int = 40) -> WickExpSquare:
     if abs(lam) >= 1.0:
         raise DivergenceError(
             f"series for :exp(lam x^2/2): diverges in L2 at |lam| = {abs(lam)} >= 1")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    terms = {}
-    w = 1.0
-    for k in range(K + 1):
-        if k:
-            w *= lam / (2.0 * k)
-        terms[MultiIndex(((0, 2 * k),)) if k else EMPTY] = w
-    series = ChaosVector(1, 2 * K, terms, prune=0.0)
+    half_h2 = ChaosVector(1, 2, {MultiIndex(((0, 2),)): lam / 2.0}, prune=0.0)
+    series = wick_exp(half_h2, 2 * K)
     return WickExpSquare(lam, K, series, _tail_weight_square(lam, K))
 
 
@@ -308,8 +302,8 @@ def wick_exp_I2(f: SymTensor, K: int = 30) -> WickExpI2:
     Requires every eigenvalue lam of M to satisfy lam > -1 (else the
     Gaussian integral behind the closed form diverges: DomainError) and
     |lam| < 1 (else the Hermite series diverges in L2: DivergenceError).
-    The series carries the exp(-tr M/2) prefactor so that it matches the
-    closed form pointwise.
+    The series is wick_exp(I_2(M)/2 - tr M/2, 2K), so it carries the
+    exp(-tr M/2) prefactor that makes it match the closed form pointwise.
     """
     if f.order != 2:
         raise ValueError("need an order-2 tensor")
@@ -321,16 +315,9 @@ def wick_exp_I2(f: SymTensor, K: int = 30) -> WickExpI2:
     if max(abs(w[0]), abs(w[-1])) >= 1.0:
         raise DivergenceError(
             f"spectral radius {max(abs(w[0]), abs(w[-1])):.6g} >= 1: series diverges in L2")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    series = ChaosVector.constant(1.0, f.dim, max(2 * K, 2))
-    if K >= 1:
-        half_i2 = scale(from_tensor(f, max_order=2 * K), 0.5)
-        term = ChaosVector.constant(1.0, f.dim, 2 * K)
-        for k in range(1, K + 1):
-            term = scale(wick_product(term, half_i2), 1.0 / k)
-            series = add(series, term)
-    series = scale(series, math.exp(-0.5 * float(np.trace(m))))
+    exponent = scale(from_tensor(f), 0.5) - 0.5 * float(np.trace(m))
+    series = wick_exp(exponent, 2 * K)
+    series = series if K else series.with_max_order(2)  # K = 0 keeps cap 2
     return WickExpI2(f, tuple(float(x) for x in w), v, K, series)
 
 

@@ -1,6 +1,6 @@
-"""Independent oracles used across the test modules.
+"""Independent oracles and generated inputs used across the test modules.
 
-Everything here is deliberately written against numpy.polynomial.hermite_e
+The oracles are deliberately written against numpy.polynomial.hermite_e
 and dense ndarray manipulation rather than the package's own sparse code
 paths, so agreement is meaningful.
 """
@@ -9,7 +9,11 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
+
+from wickchaos.chaos import PRUNE_DEFAULT, ChaosVector
+from wickchaos.multiindex import MultiIndex
 
 
 def hermite_sum(n, x):
@@ -127,3 +131,43 @@ def chaos_to_callable(F):
         return out
 
     return fn
+
+
+# -- generated inputs for the property tests --------------------------------
+
+def signed(lo, hi):
+    # Magnitudes stay far from underflow, where rounding is absolute.
+    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+# small integers make exact cancellations
+coeffs = st.one_of(st.integers(-3, 3).map(float), signed(1e-3, 4.0))
+
+
+@st.composite
+def vectors(draw, dim, max_order, indices=None, degree=None, prune=None):
+    """Up to 6 terms of degree <= degree (default max_order) on the given
+    coordinates (default all); the prune threshold is drawn unless given."""
+    index = st.sampled_from(indices if indices is not None else range(dim))
+    if prune is None:
+        prune = draw(st.sampled_from((0.0, PRUNE_DEFAULT)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        deg = draw(st.integers(0, max_order if degree is None else degree))
+        alpha = MultiIndex.from_indices(draw(st.lists(index, min_size=deg, max_size=deg)))
+        terms[alpha] = draw(coeffs)
+    return ChaosVector(dim, max_order, terms, prune=prune)
+
+
+def absolute(F):
+    """F with every coefficient replaced by its absolute value, unpruned."""
+    return ChaosVector(F.dim, F.max_order, {a: abs(c) for a, c in F.items()}, prune=0.0)
+
+
+def assert_coeffs_close(got, want, bound, rel=1e-13):
+    """|got - want| <= rel * bound at every label, bound a vector of the
+    magnitudes of the contributions (the same operations on absolute
+    values)."""
+    for a in set(got.terms) | set(want.terms):
+        assert abs(got.coeff(a) - want.coeff(a)) <= rel * bound.coeff(a), \
+            (a, got.coeff(a), want.coeff(a))

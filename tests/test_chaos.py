@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate,
                              evaluate_at, expectation, exponential_vector,
@@ -18,7 +20,9 @@ from wickchaos.sampling import sample_gaussians
 from wickchaos.stransform import translate
 from wickchaos.tensors import SymTensor, basis_tensor
 
-from helpers import chaos_to_callable, eval_chaos_ref, expect_nd
+from helpers import absolute, chaos_to_callable, eval_chaos_ref, expect_nd, vectors
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
 def random_chaos(rng, dim, degree, max_order=None, n_terms=6):
@@ -312,6 +316,17 @@ def test_exponential_vector_coeffs():
     assert E.coeff(MultiIndex([(0, 3), (1, 3)])) != 0.0
 
 
+def test_exponential_vector_edges():
+    assert exponential_vector([0.5], 0) == ChaosVector.constant(1.0, 1, 0)
+    assert exponential_vector([0.5], 0).max_order == 0
+    E = exponential_vector([], 3)
+    assert (E.dim, E.terms) == (1, {EMPTY: 1.0})
+    # built unpruned: 1e-3^8 / 8! is far below PRUNE_DEFAULT and is kept
+    E = exponential_vector([1e-3, 0.0], 8)
+    assert E.prune == 0.0
+    assert abs(E.coeff(MultiIndex([(0, 8)])) - 1e-24 / 40320) <= 1e-14 * 1e-24 / 40320
+
+
 def test_exponential_vector_wick_law():
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -330,6 +345,16 @@ def test_exponential_vector_normalization():
     assert expectation(E) == 1.0
     n2 = sum(v * v for v in f)
     assert abs(l2_norm(E) ** 2 - math.exp(n2)) < 1e-9
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 6))
+def test_isometry_property(data, dim, order):
+    # E[FG] = sum_alpha alpha! c_alpha d_alpha; clipping keeps the constant
+    F, G = (data.draw(vectors(dim, order, prune=0.0)) for _ in "FG")
+    got = expectation(ordinary_product(F, G, clip=True))
+    bound = inner_product(absolute(F), absolute(G))
+    assert abs(got - inner_product(F, G)) <= 1e-13 * bound
 
 
 def test_gamma_norm_and_second_quantization():

@@ -142,6 +142,13 @@ def test_order_flag_controls_truncation():
     assert json.loads(lines(proc)[0])["value"] == 3.0
 
 
+def test_order_zero_keeps_the_constant():
+    # eps(f) at order 0 is the constant 1
+    proc = run_cli("--order", "0", "-c", "expect eps(0.5)")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(lines(proc)[0])["value"] == 1.0
+
+
 @pytest.mark.parametrize("order", [171, 200])
 def test_orders_past_factorial_overflow(order):
     # E[eps(1)^2] = exp(1); lowering weights reach 171! > the largest double

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickchaos.chaos import (ChaosVector, add, coeff_distance, expectation,
                              inner_product, l2_norm, ordinary_product, scale,
@@ -14,6 +16,10 @@ from wickchaos.malliavin import (HValuedChaos, derivative_dir,
                                  product_via_wick_gradients, sobolev_norm,
                                  wick_via_malliavin, wick_with_gaussian)
 from wickchaos.multiindex import EMPTY, MultiIndex
+
+from helpers import absolute, assert_coeffs_close, vectors
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
 def H(i, n, dim, max_order):
@@ -51,6 +57,19 @@ def test_derivative_product_rule():
             rhs = add(ordinary_product(derivative_dir(F, j), G),
                       ordinary_product(F, derivative_dir(G, j)))
             assert coeff_distance(lhs, rhs) < 1e-10
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_derivative_leibniz_property(data, dim):
+    # D_j(FG) = (D_j F) G + F (D_j G); the cap holds the whole product
+    F, G = (data.draw(vectors(dim, 6, degree=3, prune=0.0)) for _ in "FG")
+    A, B = absolute(F), absolute(G)
+    for j in range(dim):
+        lhs = derivative_dir(ordinary_product(F, G), j)
+        rhs = add(ordinary_product(derivative_dir(F, j), G),
+                  ordinary_product(F, derivative_dir(G, j)))
+        assert_coeffs_close(lhs, rhs, derivative_dir(ordinary_product(A, B), j))
 
 
 def test_derivative_wick_leibniz():

@@ -1,4 +1,5 @@
-"""Products and translation against an exact-rational oracle.
+"""Products, translation and the Wick exponential against an exact-rational
+oracle.
 
 The oracle works on sparse maps {((i, m), ...): Fraction} and applies the
 coordinatewise definitions: a pair of basis elements multiplies coordinate
@@ -20,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wickchaos import chaos
-from wickchaos.chaos import (PRUNE_DEFAULT, ChaosVector, exponential_vector,
-                             ordinary_product, wick_product)
-from wickchaos.errors import DimensionMismatchError, OrderOverflowError
-from wickchaos.multiindex import MultiIndex
-from wickchaos.stransform import translate
+from wickchaos.chaos import (ChaosVector, expectation, exponential_vector,
+                             ordinary_product, wick_exp, wick_product)
+from wickchaos.errors import DimensionMismatchError, DomainError, OrderOverflowError
+from wickchaos.multiindex import EMPTY, MultiIndex
+from wickchaos.stransform import s_transform, translate
+
+from helpers import absolute, assert_coeffs_close, signed, vectors
 
 REL = 1e-14
 
@@ -148,27 +151,6 @@ def assert_matches(P, want, prune):
 
 
 # -- generated inputs -------------------------------------------------------------
-
-def signed(lo, hi):
-    # Magnitudes stay far from underflow, where rounding is absolute.
-    return st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
-
-
-# small integers make exact cancellations
-coeffs = st.one_of(st.integers(-3, 3).map(float), signed(1e-3, 4.0))
-
-
-@st.composite
-def vectors(draw, dim, max_order, indices=None):
-    index = st.sampled_from(indices if indices is not None else range(dim))
-    prune = draw(st.sampled_from((0.0, PRUNE_DEFAULT)))
-    terms = {}
-    for _ in range(draw(st.integers(0, 6))):
-        deg = draw(st.integers(0, max_order))
-        alpha = MultiIndex.from_indices(draw(st.lists(index, min_size=deg, max_size=deg)))
-        terms[alpha] = draw(coeffs)
-    return ChaosVector(dim, max_order, terms, prune=prune)
-
 
 @st.composite
 def operand_pairs(draw):
@@ -320,3 +302,69 @@ def test_routes_and_chunkings_agree_bitwise(pair):
         for P in results[1:]:
             assert P == first
             assert [(a, c) for a, c in P.items()] == [(a, c) for a, c in first.items()]
+
+
+# -- the Wick exponential ---------------------------------------------------------
+
+def oracle_wick_exp(F, order):
+    """e^{E F} sum_{k <= order} (F - E F)^{<>k} / k!, clipped at order, and
+    the same sum over |F|.  e^{E F} is the package's own rounding of exp,
+    the one inexact step oracle and package share."""
+    terms = exact(F)
+    g0 = Fraction(math.exp(terms.pop((), 0)))
+    x = {a: c for a, c in terms.items() if sum(m for _, m in a) <= order}
+    steps = (x, {a: abs(c) for a, c in x.items()})
+    val, mag = {(): g0}, {(): abs(g0)}
+    power = size = {(): Fraction(1)}  # (F - E F)^{<>k} / k!, and over |F - E F|
+    for k in range(1, order + 1):
+        power, size = ({g: v / k for g, v in combine(itertools.product(p.items(), y.items()),
+                                                     wick_factor)[0].items()
+                        if sum(m for _, m in g) <= order}
+                       for p, y in zip((power, size), steps))
+        for g, v in power.items():
+            val[g] = val.get(g, 0) + g0 * v
+            mag[g] = mag.get(g, 0) + abs(g0) * size[g]
+    return val, mag
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 6))
+def test_wick_exp_matches_exact_oracle(data, dim, order):
+    # a constant plus parts of degree 1-3, some of them above the order
+    F = data.draw(vectors(dim, data.draw(st.integers(0, 3))))
+    P = wick_exp(F, order)
+    assert (type(P), P.dim, P.max_order, P.prune) == (ChaosVector, F.dim, order, F.prune)
+    assert_matches(P, oracle_wick_exp(F, order), P.prune)
+
+
+@SETTINGS
+@given(pair=operand_pairs(), order=st.integers(0, 6))
+def test_wick_exp_of_a_sum_is_a_wick_product(pair, order):
+    # exp<>(F) <> exp<>(G) = exp<>(F + G), exactly under clipping
+    F, G = (ChaosVector(V.dim, V.max_order, V.terms, prune=0.0) for V in pair)
+    lhs = wick_product(wick_exp(F, order), wick_exp(G, order), clip=True)
+    bound = wick_exp(absolute(F) + absolute(G), order)
+    assert_coeffs_close(lhs, wick_exp(F + G, order), bound)
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 8))
+def test_s_transform_of_wick_exp(data, dim, order):
+    # S(exp<>F)(xi) = e^{E F} sum_{n <= order} t^n / n!, t = S(F - E F)(xi)
+    F = data.draw(vectors(dim, 1, prune=0.0))
+    xi = data.draw(st.lists(signed(1e-3, 2.0), min_size=dim, max_size=dim))
+    c = expectation(F)
+    t = [v * xi[a.entries[0][0]] for a, v in F.items() if a.degree]
+    want, bound = (math.exp(c) * sum(s ** n / math.factorial(n) for n in range(order + 1))
+                   for s in (sum(t), sum(map(abs, t))))
+    assert abs(s_transform(wick_exp(F, order), xi) - want) <= 1e-13 * bound
+
+
+def test_wick_exp_overflow_is_domain_error():
+    one = MultiIndex([(0, 1)])
+    assert wick_exp(ChaosVector.constant(709.0, 1, 0), 0).coeff(EMPTY) == math.exp(709.0)
+    with pytest.raises(DomainError):
+        wick_exp(ChaosVector(2, 3, {EMPTY: 710.0, one: 0.5}), 3)
+    # exp(E F) is finite but a coefficient of the series overflows
+    with pytest.raises(DomainError):
+        wick_exp(ChaosVector(1, 2, {EMPTY: 700.0, one: 1e300}), 2)

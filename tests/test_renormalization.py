@@ -295,6 +295,19 @@ def test_weighted_sums_past_the_factorial_cap():
         assert abs(got - want) <= 1e-12 * want
 
 
+def test_wick_exp_square_edges():
+    # K = 0 keeps only the constant, at cap 0
+    W = wick_exp_square(0.5, K=0).series
+    assert (W.terms, W.max_order) == ({EMPTY: 1.0}, 0)
+    # at lam = 0.95 the coefficients underflow past k = 154 and are dropped,
+    # as they are when built term by term; test_evaluation_overflow_is_loud
+    # needs the degree-308 term that survives
+    W = wick_exp_square(0.95, K=300).series
+    assert (W.n_terms(), W.degree(), W.max_order) == (155, 308, 600)
+    with pytest.raises(ValueError):
+        wick_exp_square(0.5, K=-1)
+
+
 def test_wick_exp_square_tail_weight():
     # the quoted L2 tail must bound the dropped mass and shrink with K
     w40 = wick_exp_square(0.5, K=40).tail_weight
@@ -339,6 +352,15 @@ def test_wick_exp_I2_rotated():
     # eigenvalues are those of the symmetric coefficient matrix
     m = np.array([[0.15, 0.1], [0.1, -0.05]])
     assert np.allclose(np.sort(W.eigenvalues), np.linalg.eigvalsh(m))
+
+
+def test_wick_exp_I2_without_series_terms():
+    # K = 0 holds only the prefactor exp(-tr M/2), still at cap 2
+    f = SymTensor(2, 2, {(0, 0): 0.2, (0, 1): 0.1, (1, 1): -0.3})
+    W = wick_exp_I2(f, K=0).series
+    assert (W.terms, W.max_order) == ({EMPTY: math.exp(0.05)}, 2)
+    with pytest.raises(ValueError):
+        wick_exp_I2(f, K=-1)
 
 
 def test_wick_exp_I2_error_conditions():

@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickchaos.chaos import (ChaosVector, coeff_distance, evaluate_at,
                              exponential_vector, wick_product)
 from wickchaos.errors import DimensionMismatchError
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.stransform import s_transform, s_transform_mc, translate
+
+from helpers import absolute, assert_coeffs_close, signed, vectors
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
 def random_chaos(rng, dim, degree, max_order=None, n_terms=6):
@@ -51,6 +57,22 @@ def test_s_transform_multiplicative_under_wick():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
+def points(dim):
+    return st.lists(st.one_of(st.just(0.0), signed(1e-3, 2.0)), min_size=dim, max_size=dim)
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4))
+def test_s_transform_multiplicative_property(data, dim):
+    # S(F <> G)(xi) = S(F)(xi) S(G)(xi); the cap holds the whole product
+    F, G = (data.draw(vectors(dim, 6, degree=3, prune=0.0)) for _ in "FG")
+    xi = data.draw(points(dim))
+    size = [abs(v) for v in xi]
+    bound = s_transform(absolute(F), size) * s_transform(absolute(G), size)
+    got = s_transform(wick_product(F, G), xi)
+    assert abs(got - s_transform(F, xi) * s_transform(G, xi)) <= 1e-13 * bound
+
+
 def test_s_transform_of_exponential_vector():
     # S(eps(f))(xi) = exp(<f, xi>), up to truncation of the series
     f = np.array([0.3, -0.2])
@@ -86,6 +108,17 @@ def test_translate_composes():
     y, z = rng.normal(size=2), rng.normal(size=2)
     assert coeff_distance(translate(translate(F, y), z),
                           translate(F, y + z)) < 1e-10
+
+
+@SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 6))
+def test_translate_group_law_property(data, dim, order):
+    # translate(translate(F, y), z) = translate(F, y + z)
+    F = data.draw(vectors(dim, order, prune=0.0))
+    y, z = data.draw(points(dim)), data.draw(points(dim))
+    yz = [a + b for a, b in zip(y, z)]
+    bound = translate(absolute(F), [abs(a) + abs(b) for a, b in zip(y, z)])
+    assert_coeffs_close(translate(translate(F, y), z), translate(F, yz), bound)
 
 
 def test_shift_law():
