@@ -48,10 +48,22 @@ index order, so every code's sum adds the same products in the same order
 as the dict loop, and the terms come out in first-visit order: both
 routes, at any chunk size, give the same bits in the same term order.
 
-Decoding reuses labels.  The codes of the operands' labels are recorded
-as they are coded; an output code that is one of them keeps that
-MultiIndex, and any other is decoded by divmod into a new one through a
-trusted constructor.
+Labels go through codecs.  A codec holds the two maps label -> code and
+code -> label of one key (K+1, i_0, i_1, ...).  A code is a pure function
+of the label and the key, so one codec serves every call under its key,
+whatever vectors or store types (ChaosVector, PolySeries) the call reads:
+an operand label is coded, and an output code decoded by divmod into a new
+label through a trusted constructor, only when the codec has not seen it.
+The codecs are made on first use, none at import, and kept for the
+process.  Once they hold more than _CODEC_LABELS = 2^16 labels and codecs
+together, the next call drops them all, so they exceed the bound by at
+most one call's labels.  Threads may share them: an entry is never
+removed from its codec, every write of it, by any thread, writes an equal
+value, and a thread whose codec is dropped keeps a complete one.  Every
+output label has degree <= K and uses only the operands' coordinates, so
+the kernels hand their output to a trusted store builder (_Store._trusted)
+that skips the label checks.  It keeps the NaN/inf check, made before the
+prune so that a NaN is never pruned away, and the prune.
 
 The Wick exponential runs on the same codes.  Second quantization
 respects <>, Gamma(e^t)(F<>G) = Gamma(e^t)F <> Gamma(e^t)G, so at t = 0
@@ -128,10 +140,12 @@ in any thread, always gives the same bits.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,6 +205,25 @@ class _Store:
         """An instance of cls, whatever the signature of its constructor."""
         out = cls.__new__(cls)
         _Store.__init__(out, dim, max_order, terms, prune)
+        return out
+
+    @classmethod
+    def _trusted(cls, dim: int, max_order: int, terms: dict[MultiIndex, float],
+                 prune: float):
+        """_new for the kernels' output.  terms, which the store takes
+        over, holds floats at labels of degree <= max_order on coordinates
+        < dim, so only finiteness is checked, before the prune so that no
+        NaN is pruned away."""
+        values = terms.values()
+        if not all(map(math.isfinite, values)):
+            alpha, c = next((a, c) for a, c in terms.items() if not math.isfinite(c))
+            raise DomainError(f"coefficient at {alpha} is {c}, not finite")
+        if terms and min(map(abs, values)) <= prune:
+            terms = {a: c for a, c in terms.items() if abs(c) > prune}
+        out = cls.__new__(cls)
+        out.dim, out.max_order, out.prune = dim, max_order, prune
+        out._terms = terms
+        out._plan = None
         return out
 
     @property
@@ -453,24 +486,67 @@ _CROSSOVER = 640  # pairs: numpy's ~45 us per call matches the dict loop at 500-
 _CELLS_PER_PAIR = 16  # a dense cell costs 1-4 ns, a dict pair ~80 ns more than a numpy one
 _CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
 _CHUNK = 1 << 15  # pairs per numpy chunk: ~2.5 MiB of pair arrays; 2^14-2^18 time alike
+_CODEC_LABELS = 1 << 16  # labels and codecs held at most before all codecs are dropped
+
+_codecs: dict[tuple[int, ...], "_Codec"] = {}  # (base, *coords) -> its codec
+_held = 0  # labels and codecs made since the codecs were last dropped, or more
+_held_lock = threading.Lock()  # guards _held and the dropping of the codecs
+_degree = attrgetter("degree")
 
 
-def _digits(base: int, *vectors: _Store) -> tuple[list[int], dict[int, int]]:
-    """The coordinates the vectors use, in increasing order, one code digit
-    each: returns them and the place value base^k of the k-th."""
-    coords = sorted({i for F in vectors for a in F._terms for i, _ in a.entries})
-    return coords, {i: base ** k for k, i in enumerate(coords)}
+class _Codec:
+    """label <-> code(label) for one key (base, *coords); see the module
+    docstring.  place maps coordinate coords[k] to its place value base^k."""
+
+    __slots__ = ("base", "coords", "place", "code", "label")
+
+    def __init__(self, base: int, coords: list[int]):
+        self.base, self.coords = base, coords
+        self.place = {i: base ** k for k, i in enumerate(coords)}
+        self.code: dict[MultiIndex, int] = {}
+        self.label: dict[int, MultiIndex] = {}
+
+    def learn(self, labels: Collection[MultiIndex], codes: list[int]) -> None:
+        """Record the labels with their codes, in both maps."""
+        global _held
+        held = len(self.label)
+        self.code.update(zip(labels, codes))
+        self.label.update(zip(codes, labels))
+        with _held_lock:
+            _held += len(self.label) - held
 
 
-def _coded(F: _Store, place: dict[int, int],
-           labels: dict[int, MultiIndex]) -> list[tuple[int, int, float]]:
-    """F's terms as (deg alpha, code(alpha), c_alpha); records code -> alpha."""
-    coded = []
-    for a, c in F._terms.items():
-        code = sum(m * place[i] for i, m in a.entries)
-        labels[code] = a
-        coded.append((a.degree, code, c))
-    return coded
+def _codec(base: int, *stores: _Store) -> _Codec:
+    """The codec of base and the coordinates the stores use, made on first
+    use; all codecs are dropped first once they hold more than
+    _CODEC_LABELS labels and codecs."""
+    global _held
+    if _held > _CODEC_LABELS:
+        with _held_lock:
+            if _held > _CODEC_LABELS:
+                _codecs.clear()
+                _held = 0
+    coords = sorted({i for F in stores for a in F._terms for i, _ in a.entries})
+    key = (base, *coords)
+    codec = _codecs.get(key)
+    if codec is None:
+        codec = _codecs.setdefault(key, _Codec(base, coords))
+        with _held_lock:
+            _held += 1
+    return codec
+
+
+def _coded(F: _Store, codec: _Codec) -> list[tuple[int, int, float]]:
+    """F's terms as (deg alpha, code(alpha), c_alpha); codes the codec
+    lacks are computed and recorded."""
+    terms, code = F._terms, codec.code
+    try:
+        codes = list(map(code.__getitem__, terms))
+    except KeyError:
+        place = codec.place
+        codes = [sum(m * place[i] for i, m in a.entries) for a in terms]
+        codec.learn(terms, codes)
+    return list(zip(map(_degree, terms), codes, terms.values()))
 
 
 def _convolve(groups, order: int, cells: int) -> dict[int, float]:
@@ -528,24 +604,27 @@ def _convolve_dense(groups, counts, total: int, cells: int) -> dict[int, float]:
         t = np.arange(lo, hi)
         j = t + shift[rows]
         code = fcode[rows] + gcode[j]
-        np.add.at(sums, code, fval[rows] * gval[j])
+        with np.errstate(over="ignore", invalid="ignore"):  # as floats do: the store raises
+            np.add.at(sums, code, fval[rows] * gval[j])
         np.minimum.at(first, code, t)
     seen = np.flatnonzero(first < total)
     codes = seen[np.argsort(first[seen])]
     return dict(zip(codes.tolist(), sums[codes].tolist()))
 
 
-def _lowered(F: ChaosVector, place: dict[int, int], weight,
-             labels: dict[int, MultiIndex]) -> dict[int, list]:
+def _lowered(F: ChaosVector, codec: _Codec, weight) -> dict[int, list]:
     """Group F's terms by every contraction index p <= alpha.
 
     Maps code(p) to the terms (deg alpha - |p|, code(alpha - p),
     c_alpha * prod_i weight(alpha_i, p_i)); only p below some term occur.
-    Records code(alpha) -> alpha.  The integer weight is at most alpha!, a
-    finite double up to degree ORDER_LIMIT; past it the product with
-    c_alpha is formed exactly and rounded once, as in MultiIndex.weighted.
+    F's labels go into the codec if it lacks one.  The integer weight is
+    at most alpha!, a finite double up to degree ORDER_LIMIT; past it the
+    product with c_alpha is formed exactly and rounded once, as in
+    MultiIndex.weighted.
     """
+    place = codec.place
     groups: dict[int, list] = {}
+    codes = []
     for a, c in F._terms.items():
         code = 0
         subs = [(0, 0, 1)]  # (code(p), |p|, integer weight)
@@ -554,23 +633,26 @@ def _lowered(F: ChaosVector, place: dict[int, int], weight,
             code += m * w
             subs = [(pc + k * w, pd + k, pw * weight(m, k))
                     for pc, pd, pw in subs for k in range(m + 1)]
-        labels[code] = a
+        codes.append(code)
         exact = a.degree > ORDER_LIMIT
         for pc, pd, pw in subs:
             groups.setdefault(pc, []).append(
                 (a.degree - pd, code - pc, float(Fraction(c) * pw) if exact else c * pw))
+    if not all(map(codec.label.__contains__, codes)):
+        codec.learn(F._terms, codes)
     return groups
 
 
-def _decoded(out: dict[int, float], base: int, coords: list[int],
-             labels: dict[int, MultiIndex], dim: int, order: int, prune: float,
+def _decoded(out: dict[int, float], codec: _Codec, dim: int, order: int, prune: float,
              cls: type[_Store]) -> _Store:
-    """The store of {code: c}: a code the operands used keeps their label,
-    any other is decoded by divmod into a new one."""
-    terms: dict[MultiIndex, float] = {}
-    for code, c in out.items():
-        a = labels.get(code)
-        if a is None:
+    """The store of {code: c}, every code below base^len(coords) and of
+    digit sum <= order: a code the codec knows reads its label, any other
+    is decoded by divmod into a new one."""
+    label = codec.label
+    if new := [k for k in out if k not in label]:
+        base, coords = codec.base, codec.coords
+        labels = []
+        for code in new:
             entries = []
             degree = k = 0
             while code:
@@ -579,9 +661,10 @@ def _decoded(out: dict[int, float], base: int, coords: list[int],
                     entries.append((coords[k], m))
                     degree += m
                 k += 1
-            a = MultiIndex._canonical(tuple(entries), degree)
-        terms[a] = c
-    return cls._new(dim, order, terms, prune)
+            labels.append(MultiIndex._canonical(tuple(entries), degree))
+        codec.learn(labels, new)
+    return cls._trusted(dim, order, dict(zip(map(label.__getitem__, out), out.values())),
+                        prune)
 
 
 def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Store:
@@ -595,11 +678,9 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
     labels m up to the largest one F uses there.
     """
     base = F.max_order + 1
-    coords, place = _digits(base, F)
-    labels: dict[int, MultiIndex] = {}
-    terms = {code: c for _, code, c in _coded(F, place, labels)}
-    for i in coords:
-        w = place[i]
+    codec = _codec(base, F)
+    terms = {code: c for _, code, c in _coded(F, codec)}
+    for i, w in codec.place.items():
         table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
         out: dict[int, float] = {}
         get = out.get
@@ -609,7 +690,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
                 k = code - (m - n) * w
                 out[k] = get(k, 0.0) + c * h
         terms = out
-    return _decoded(terms, base, coords, labels, F.dim, F.max_order, prune, cls)
+    return _decoded(terms, codec, F.dim, F.max_order, prune, cls)
 
 
 def _check_fits(F: ChaosVector, G: ChaosVector, order: int, what: str) -> None:
@@ -631,11 +712,10 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
     if not clip:
         _check_fits(F, G, order, "Wick")
     base = order + 1
-    coords, place = _digits(base, F, G)
-    labels: dict[int, MultiIndex] = {}
-    fs, gs = _coded(F, place, labels), sorted(_coded(G, place, labels))
-    out = _convolve([(fs, gs)], order, base ** len(coords))
-    return _decoded(out, base, coords, labels, dim, order, prune, type(F))
+    codec = _codec(base, F, G)
+    fs, gs = _coded(F, codec), sorted(_coded(G, codec))
+    out = _convolve([(fs, gs)], order, base ** len(codec.coords))
+    return _decoded(out, codec, dim, order, prune, type(F))
 
 
 def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
@@ -655,13 +735,12 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
     if not clip:
         _check_fits(F, G, order, "product")
     base = order + 1
-    coords, place = _digits(base, F, G)
-    labels: dict[int, MultiIndex] = {}
-    gs = _lowered(G, place, math.comb, labels)
-    groups = [(fs, sorted(gs[p])) for p, fs in _lowered(F, place, math.perm, labels).items()
+    codec = _codec(base, F, G)
+    gs = _lowered(G, codec, math.comb)
+    groups = [(fs, sorted(gs[p])) for p, fs in _lowered(F, codec, math.perm).items()
               if p in gs]
-    out = _convolve(groups, order, base ** len(coords))
-    return _decoded(out, base, coords, labels, dim, order, prune, ChaosVector)
+    out = _convolve(groups, order, base ** len(codec.coords))
+    return _decoded(out, codec, dim, order, prune, ChaosVector)
 
 
 def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:
@@ -688,25 +767,26 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
     """exp<>(F) projected onto degrees <= max_order by the recursion in the
     module docstring, with F's type and prune threshold; F's parts above
     max_order are dropped first.  DomainError if exp(E F) overflows."""
-    low = type(F)._new(F.dim, max_order, {a: c for a, c in F._terms.items()
-                                          if 0 < a.degree <= max_order}, 0.0)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    low = type(F)._trusted(F.dim, max_order, {a: c for a, c in F._terms.items()
+                                              if 0 < a.degree <= max_order}, 0.0)
     try:
         g0 = math.exp(expectation(F))
     except OverflowError:
         raise DomainError(f"exp of E F = {expectation(F)} overflows") from None
     base = max_order + 1
-    coords, place = _digits(base, low)
-    labels: dict[int, MultiIndex] = {0: EMPTY}
+    codec = _codec(base, low)
     parts: dict[int, list] = {}  # m -> m F_m
-    for m, code, c in _coded(low, place, labels):
+    for m, code, c in _coded(low, codec):
         parts.setdefault(m, []).append((m, code, m * c))
-    cells = base ** len(coords)
+    cells = base ** len(codec.coords)
     G = {0: [(0, 0, g0)]}  # n -> G_n, for the degrees n that have a group
     for n in range(1, base):
         if groups := [(G[n - m], fm) for m, fm in parts.items() if n - m in G]:
             G[n] = [(n, k, s / n) for k, s in _convolve(groups, n, cells).items()]
     out = {k: s for Gn in G.values() for _, k, s in Gn}
-    return _decoded(out, base, coords, labels, F.dim, max_order, F.prune, type(F))
+    return _decoded(out, codec, F.dim, max_order, F.prune, type(F))
 
 
 def exponential_vector(f: Sequence[float], max_order: int) -> ChaosVector:

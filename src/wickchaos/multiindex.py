@@ -63,8 +63,11 @@ class MultiIndex:
         """Build from a list of basis indices with repetition, e.g. (0,0,2)."""
         counts: dict[int, int] = {}
         for i in indices:
-            counts[int(i)] = counts.get(int(i), 0) + 1
-        return cls(counts.items())
+            i = int(i)
+            if i < 0:
+                raise ValueError(f"basis index must be non-negative, got {i}")
+            counts[i] = counts.get(i, 0) + 1
+        return cls._canonical(tuple(sorted(counts.items())), sum(counts.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndex is immutable")

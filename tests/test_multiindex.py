@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickchaos.multiindex import EMPTY, MultiIndex
 
@@ -24,6 +26,26 @@ def test_constructors_roundtrip():
     for _ in range(100):
         idx = tuple(sorted(rng.integers(0, 5, size=rng.integers(0, 7))))
         assert MultiIndex.from_indices(idx).to_indices() == idx
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(idx=st.lists(st.integers(0, 12), max_size=10))
+def test_from_indices_matches_the_checked_constructor(idx):
+    want = MultiIndex((i, 1) for i in idx)
+    for form in (tuple(idx), idx[::-1], np.array(idx, dtype=np.int64), iter(idx)):
+        got = MultiIndex.from_indices(form)
+        assert got == want and hash(got) == hash(want)
+        assert (got.entries, got.degree) == (want.entries, want.degree)
+        assert all(type(i) is int and type(m) is int for i, m in got.entries)
+
+
+def test_from_indices_edges():
+    assert MultiIndex.from_indices(()) == EMPTY
+    assert MultiIndex.from_indices(()).degree == 0
+    with pytest.raises(ValueError):
+        MultiIndex.from_indices((0, -1, 2))
+    with pytest.raises(ValueError):
+        MultiIndex.from_indices(np.array([3, -2]))
 
 
 def test_immutable_and_hashable():
