@@ -28,20 +28,34 @@ Hermite linearization,
 
 (factorials and binomials coordinatewise): for each p it is a Wick
 convolution of the terms of F and G lowered by p, and only the p below
-some term of each side occur.  So one pair loop, _convolve, serves both
-products.  It takes groups (fs, gs), one for the Wick product and one per
-p for the ordinary product, with gs sorted by degree; each term of fs
-visits the prefix of gs that fits under K, found by bisection, and adds
-its product at the sum of the codes.
+some term of each side occur.  So both products are one pair loop over
+groups (fs, gs), one for the Wick product and one per p for the ordinary
+product, with gs sorted by (degree, code): each term of fs visits the
+prefix of gs that fits under K and adds its product at the sum of the
+codes.
 
-The bisections count the pairs exactly before any product is formed, and
-the count picks the route.  A product of fewer than _CROSSOVER pairs, plus
-one per _CELLS_PER_PAIR codes of the range (K+1)^u, runs on a dict of
-Python ints, whose width has no limit; so does one whose range exceeds
-_CELLS, which covers every code past 2^63, and one with fewer than
-_CROSSOVER pairs before degree pruning, which is not counted.  The others run on numpy:
-np.repeat and gathers build the pairs in the same visiting order, _CHUNK
-pairs at a time so that memory does not grow with the pair count;
+The loop has two routes, picked before any term is lowered or put in an
+array.  The Wick product counts its pairs exactly from the degree
+histograms, sum_a n_F[a] N_G[K - a]; the ordinary product bounds them by
+min(L_F |G|, |F| L_G), with L_F = sum_alpha prod_i (alpha_i + 1) the
+lowered terms of F, since a lowered term meets at most one lowered term
+per term of the other side; wick_exp's groups pair every term and count
+by their sizes.  A product of fewer than _CROSSOVER pairs, plus one per
+_CELLS_PER_PAIR codes of the range (K+1)^u, runs the dict loop
+(_convolve) on tuples and a dict of Python ints, whose width has no
+limit; so does one whose range exceeds _CELLS, which covers every code
+past 2^63.  The others run on int64 arrays from the operands up: codes
+from the codec, degrees and coefficients by np.fromiter, and for the
+ordinary product a vectorized lowering (_lowered) and grouping
+(_contracted) without a tuple per term.  They keep the dict loop's order:
+the groups rank by the first appearance of their p among F's lowered
+terms, and stable sorts keep F's rows in term order within a group and
+G's, lowered from terms sorted by (degree, code), in (degree, code)
+order.  The integer weights stay exact: up to K = 20 they are at most
+20! < 2^63 and fit int64, and above they are Python ints, as in the dict
+loop.  One kernel, _convolve_dense, takes the arrays:
+np.repeat and gathers build the pairs in the dict loop's visiting order,
+_CHUNK pairs at a time so that memory does not grow with the pair count;
 np.add.at sums them into a dense array over the range, and np.minimum.at
 records each code's first visit.  ufunc.at is unbuffered and runs in
 index order, so every code's sum adds the same products in the same order
@@ -73,8 +87,8 @@ exp<>(F) = sum_k F^{<>k} / k! solves N G = (N F) <> G degree by degree:
     G_0 = exp(E F),   G_n = (1/n) sum_{m=1..n} m F_m <> G_{n-m}.
 
 G_n reads only F's parts of degree <= n, so projecting onto degrees <= K
-is exact.  wick_exp makes one _convolve of the groups (G_{n-m}, m F_m) per
-degree; exponential_vector and renormalization's quadratic exponentials
+is exact.  wick_exp makes one pair loop over the groups (G_{n-m}, m F_m)
+per degree; exponential_vector and renormalization's quadratic exponentials
 call it.
 
 The sparse store itself (_Store) has three users.  SymTensor keeps the
@@ -143,6 +157,7 @@ import math
 import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
@@ -487,6 +502,7 @@ _CELLS_PER_PAIR = 16  # a dense cell costs 1-4 ns, a dict pair ~80 ns more than 
 _CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
 _CHUNK = 1 << 15  # pairs per numpy chunk: ~2.5 MiB of pair arrays; 2^14-2^18 time alike
 _CODEC_LABELS = 1 << 16  # labels and codecs held at most before all codecs are dropped
+_INT64_BASE = 21  # largest base whose integer weights fit int64: 20! < 2^63 < 21!
 
 _codecs: dict[tuple[int, ...], "_Codec"] = {}  # (base, *coords) -> its codec
 _held = 0  # labels and codecs made since the codecs were last dropped, or more
@@ -516,6 +532,11 @@ class _Codec:
             _held += len(self.label) - held
 
 
+def _coords(stores: Iterable[_Store]) -> list[int]:
+    """The coordinates the stores' labels use, ascending."""
+    return sorted({i for F in stores for a in F._terms for i, _ in a.entries})
+
+
 def _codec(base: int, *stores: _Store) -> _Codec:
     """The codec of base and the coordinates the stores use, made on first
     use; all codecs are dropped first once they hold more than
@@ -526,7 +547,7 @@ def _codec(base: int, *stores: _Store) -> _Codec:
             if _held > _CODEC_LABELS:
                 _codecs.clear()
                 _held = 0
-    coords = sorted({i for F in stores for a in F._terms for i, _ in a.entries})
+    coords = _coords(stores)
     key = (base, *coords)
     codec = _codecs.get(key)
     if codec is None:
@@ -536,35 +557,41 @@ def _codec(base: int, *stores: _Store) -> _Codec:
     return codec
 
 
-def _coded(F: _Store, codec: _Codec) -> list[tuple[int, int, float]]:
-    """F's terms as (deg alpha, code(alpha), c_alpha); codes the codec
-    lacks are computed and recorded."""
+def _coded(F: _Store, codec: _Codec) -> list[int]:
+    """The codes of F's labels in store order; codes the codec lacks are
+    computed and recorded."""
     terms, code = F._terms, codec.code
     try:
-        codes = list(map(code.__getitem__, terms))
+        return list(map(code.__getitem__, terms))
     except KeyError:
         place = codec.place
         codes = [sum(m * place[i] for i, m in a.entries) for a in terms]
         codec.learn(terms, codes)
-    return list(zip(map(_degree, terms), codes, terms.values()))
+        return codes
 
 
-def _convolve(groups, order: int, cells: int) -> dict[int, float]:
-    """Sum c*d at code(alpha + beta) over each group (fs, gs) in turn, for
-    every (deg alpha, code, c) in fs and (deg beta, code, d) in gs with
-    deg alpha + deg beta <= order.  gs must be sorted by degree: each term
-    of fs visits only the prefix that fits.  Returns {code: sum} in
-    first-visit order, each sum added up in visiting order.  Every code is
-    below cells.  The pairs are counted only when there can be _CROSSOVER
-    of them."""
-    if cells <= _CELLS and sum(len(fs) * len(gs) for fs, gs in groups) >= _CROSSOVER:
-        counts = []
-        for fs, gs in groups:
-            degrees = [t[0] for t in gs]
-            counts.append([bisect_right(degrees, order - da) for da, _, _ in fs])
-        total = sum(map(sum, counts))
-        if total >= _CROSSOVER + cells // _CELLS_PER_PAIR:
-            return _convolve_dense(groups, counts, total, cells)
+def _arrays(F: _Store, codec: _Codec,
+            degrees: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F's degrees, given in store order, its codes (int64) and its
+    coefficients, in store order."""
+    terms, n = F._terms, len(F._terms)
+    return (np.fromiter(degrees, np.int64, n), np.array(_coded(F, codec), np.int64),
+            np.fromiter(terms.values(), float, n))
+
+
+def _dense(pairs: int, cells: int) -> bool:
+    """Whether a product with this many pairs, over a range of cells codes,
+    runs on numpy (see the module docstring)."""
+    return cells <= _CELLS and pairs >= _CROSSOVER + cells // _CELLS_PER_PAIR
+
+
+def _convolve(groups, order: int) -> dict[int, float]:
+    """The dict loop: sum c*d at code(alpha + beta) over each group (fs, gs)
+    in turn, for every (deg alpha, code, c) in fs and (deg beta, code, d)
+    in gs with deg alpha + deg beta <= order.  gs must be sorted by
+    degree: each term of fs visits only the prefix that fits.  Returns
+    {code: sum} in first-visit order, each sum added up in visiting
+    order."""
     out: dict[int, float] = {}
     get = out.get
     for fs, gs in groups:
@@ -576,25 +603,23 @@ def _convolve(groups, order: int, cells: int) -> dict[int, float]:
     return out
 
 
-def _convolve_dense(groups, counts, total: int, cells: int) -> dict[int, float]:
-    """_convolve on numpy: the same pairs in the same order, _CHUNK at a time.
+def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: np.ndarray,
+                    gcode: np.ndarray, gval: np.ndarray, cells: int) -> dict[int, float]:
+    """The dict loop on numpy, _CHUNK pairs at a time.  Row r, of code
+    fcode[r] and value fval[r], meets the n[r] terms of (gcode, gval) from
+    first[r] on, rows in order; every code is below cells.
 
-    Pair t belongs to row r (a term of some fs) when starts[r] <= t <
-    ends[r], and meets term t + shift[r] of the concatenated gs.  Sums and
-    first visits go to dense arrays indexed by code; ufunc.at is unbuffered
-    and runs in index order, so each sum associates as in the dict loop.
+    Pair t belongs to row r when starts[r] <= t < ends[r] and meets term
+    t + shift[r].  Sums and first visits go to dense arrays indexed by
+    code; ufunc.at is unbuffered and runs in index order, so each sum
+    associates as in the dict loop.
     """
-    left = [t for fs, _ in groups for t in fs]
-    right = [t for _, gs in groups for t in gs]
-    fcode, fval = np.array([t[1] for t in left], np.int64), np.array([t[2] for t in left])
-    gcode, gval = np.array([t[1] for t in right], np.int64), np.array([t[2] for t in right])
-    n = np.fromiter(chain.from_iterable(counts), np.int64, len(left))
     ends = np.cumsum(n)
+    total = int(ends[-1]) if len(ends) else 0
     starts = ends - n
-    offsets = np.cumsum([0] + [len(gs) for _, gs in groups])[:-1]
-    shift = np.repeat(offsets, [len(fs) for fs, _ in groups]) - starts
+    shift = first - starts
     sums = np.zeros(cells)
-    first = np.full(cells, total, dtype=np.int64)
+    seen = np.full(cells, total, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         r0 = int(np.searchsorted(ends, lo, "right"))
@@ -606,22 +631,84 @@ def _convolve_dense(groups, counts, total: int, cells: int) -> dict[int, float]:
         code = fcode[rows] + gcode[j]
         with np.errstate(over="ignore", invalid="ignore"):  # as floats do: the store raises
             np.add.at(sums, code, fval[rows] * gval[j])
-        np.minimum.at(first, code, t)
-    seen = np.flatnonzero(first < total)
-    codes = seen[np.argsort(first[seen])]
+        np.minimum.at(seen, code, t)
+    codes = np.flatnonzero(seen < total)
+    codes = codes[np.argsort(seen[codes])]
     return dict(zip(codes.tolist(), sums[codes].tolist()))
 
 
-def _lowered(F: ChaosVector, codec: _Codec, weight) -> dict[int, list]:
-    """Group F's terms by every contraction index p <= alpha.
+def _stacked(groups) -> tuple[np.ndarray, ...]:
+    """_convolve_dense's arrays for groups (fs, gs) of triples in which
+    every term of fs meets all of gs."""
+    left = [t for fs, _ in groups for t in fs]
+    right = [t for _, gs in groups for t in gs]
+    sizes, rows = [len(gs) for _, gs in groups], [len(fs) for fs, _ in groups]
+    return (np.array([t[1] for t in left], np.int64), np.array([t[2] for t in left]),
+            np.repeat(sizes, rows), np.repeat(np.cumsum([0] + sizes[:-1]), rows),
+            np.array([t[1] for t in right], np.int64), np.array([t[2] for t in right]))
 
-    Maps code(p) to the terms (deg alpha - |p|, code(alpha - p),
-    c_alpha * prod_i weight(alpha_i, p_i)); only p below some term occur.
-    F's labels go into the codec if it lacks one.  The integer weight is
-    at most alpha!, a finite double up to degree ORDER_LIMIT; past it the
-    product with c_alpha is formed exactly and rounded once, as in
-    MultiIndex.weighted.
+
+@lru_cache(maxsize=None)
+def _weights(base: int, weight) -> np.ndarray:
+    """weight(m, k) at [m, k] for m, k < base (0 for k > m) in int64.  For
+    base <= _INT64_BASE every product of these along a label, at most
+    (base - 1)!, is below 2^63."""
+    return np.array([[weight(m, k) for k in range(base)] for m in range(base)], np.int64)
+
+
+def _lowered(deg: np.ndarray, code: np.ndarray, val: np.ndarray, codec: _Codec,
+             weight) -> tuple[np.ndarray, ...]:
+    """The terms (deg alpha, code(alpha), c_alpha), given as arrays (see
+    _arrays), lowered by every contraction index p <= alpha.
+
+    Row by row: code(p), deg alpha - |p|, code(alpha - p) and c_alpha *
+    prod_i weight(alpha_i, p_i), the rows of the terms in their order and
+    within a term in the order of (p_{i_0}, p_{i_1}, ...), the first
+    coordinate most significant, as _lowered_dict lists them: one row per
+    term, then for each used coordinate i every row repeated alpha_i + 1
+    times, once per p_i, with alpha_i the digit code // base^k % base.  No
+    tuple is made per row.  Up to base _INT64_BASE the integer weights
+    come from an int64 table and cannot pass 2^63; each is converted to
+    double, correctly rounded as Python rounds an int, and multiplied by
+    c_alpha.  Past it they are exact Python ints and each value is formed
+    in Python as _lowered_dict forms it: c_alpha * weight up to degree
+    ORDER_LIMIT, where the weight, at most alpha!, is a finite double, and
+    exactly and rounded once above, as in MultiIndex.weighted.
     """
+    base = codec.base
+    exact = base > _INT64_BASE
+    if exact:
+        factor, w = np.frompyfunc(weight, 2, 1), np.ones(len(code), object)
+    else:
+        table = _weights(base, weight)
+        factor, w = (lambda m, k: table[m, k]), np.ones(len(code), np.int64)
+    term = np.arange(len(code))
+    p = np.zeros_like(term)  # code(p)
+    size = np.zeros_like(term)  # |p|
+    place = 1
+    for _ in codec.coords:
+        m = (code // place % base)[term]
+        reps = m + 1
+        at = np.repeat(np.arange(len(term)), reps)
+        k = np.arange(len(at)) - (np.cumsum(reps) - reps)[at]
+        term, p, size = term[at], p[at] + k * place, size[at] + k
+        w = w[at] * factor(m[at], k)
+        place *= base
+    top = deg[term]
+    if exact:
+        vals = np.array([c * x if d <= ORDER_LIMIT else float(Fraction(c) * x)
+                         for c, x, d in zip(val[term].tolist(), w.tolist(), top.tolist())], float)
+    else:
+        with np.errstate(over="ignore"):  # as floats do: the store raises
+            vals = val[term] * w
+    return p, top - size, code[term] - p, vals
+
+
+def _lowered_dict(F: ChaosVector, codec: _Codec, weight) -> dict[int, list]:
+    """_lowered for the dict loop: maps code(p) to the triples (deg alpha -
+    |p|, code(alpha - p), c_alpha * prod_i weight(alpha_i, p_i)), in the
+    order of _lowered's rows, each value computed as there.  F's labels go
+    into the codec if it lacks one."""
     place = codec.place
     groups: dict[int, list] = {}
     codes = []
@@ -679,7 +766,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
     """
     base = F.max_order + 1
     codec = _codec(base, F)
-    terms = {code: c for _, code, c in _coded(F, codec)}
+    terms = dict(zip(_coded(F, codec), F._terms.values()))
     for i, w in codec.place.items():
         table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
         out: dict[int, float] = {}
@@ -713,9 +800,38 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
         _check_fits(F, G, order, "Wick")
     base = order + 1
     codec = _codec(base, F, G)
-    fs, gs = _coded(F, codec), sorted(_coded(G, codec))
-    out = _convolve([(fs, gs)], order, base ** len(codec.coords))
+    cells = base ** len(codec.coords)
+    fd, gd = list(map(_degree, F._terms)), list(map(_degree, G._terms))
+    if _dense(len(fd) * len(gd), cells) and _dense(_wick_pairs(fd, gd, order), cells):
+        fdeg, fcode, fval = _arrays(F, codec, fd)
+        gdeg, gcode, gval = _arrays(G, codec, gd)
+        by = np.argsort(gdeg * cells + gcode)  # by (degree, code); codes are distinct
+        n = np.searchsorted(gdeg[by], order - fdeg, "right")
+        out = _convolve_dense(fcode, fval, n, np.zeros_like(n), gcode[by], gval[by], cells)
+    else:
+        fs = list(zip(fd, _coded(F, codec), F._terms.values()))
+        out = _convolve([(fs, sorted(zip(gd, _coded(G, codec), G._terms.values())))], order)
     return _decoded(out, codec, dim, order, prune, type(F))
+
+
+def _wick_pairs(fd: list[int], gd: list[int], order: int) -> int:
+    """The pairs of terms of degrees fd and gd with deg alpha + deg beta <=
+    order: sum_a n_F[a] N_G[order - a], with n_F[a] the terms of degree a
+    in fd and N_G[b] those of degree <= b in gd."""
+    fd, gd = sorted(fd), sorted(gd)
+    return sum((bisect_right(fd, a) - bisect_left(fd, a)) * bisect_right(gd, order - a)
+               for a in set(fd))
+
+
+def _contractions(F: _Store) -> int:
+    """sum_alpha prod_i (alpha_i + 1): the rows of F's lowering."""
+    rows = 0
+    for a in F._terms:
+        r = 1
+        for _, m in a.entries:
+            r *= m + 1
+        rows += r
+    return rows
 
 
 def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
@@ -736,11 +852,56 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
         _check_fits(F, G, order, "product")
     base = order + 1
     codec = _codec(base, F, G)
-    gs = _lowered(G, codec, math.comb)
-    groups = [(fs, sorted(gs[p])) for p, fs in _lowered(F, codec, math.perm).items()
-              if p in gs]
-    out = _convolve(groups, order, base ** len(codec.coords))
+    cells = base ** len(codec.coords)
+    nf, ng = F.n_terms(), G.n_terms()
+    # a lowered term meets at most one lowered term per term of the other
+    # side: the pairs are at most min(L_F ng, nf L_G), itself >= nf * ng
+    if nf and ng and (_dense(nf * ng, cells) or (_dense(_contractions(F) * ng, cells)
+                                                 and _dense(nf * _contractions(G), cells))):
+        out = _convolve_dense(*_contracted(F, G, codec, order, cells), cells)
+    else:
+        gs = _lowered_dict(G, codec, math.comb)
+        out = _convolve([(fs, sorted(gs[p])) for p, fs in
+                         _lowered_dict(F, codec, math.perm).items() if p in gs], order)
     return _decoded(out, codec, dim, order, prune, ChaosVector)
+
+
+def _contracted(F: ChaosVector, G: ChaosVector, codec: _Codec, order: int,
+                cells: int) -> tuple[np.ndarray, ...]:
+    """_convolve_dense's arrays for the ordinary product.
+
+    The rows are F's terms lowered with weights p! C(alpha, p), grouped by
+    p in the order in which each p first occurs among them (its rank),
+    stably.  G's terms, sorted by (degree, code), are lowered with weights
+    C(beta, p), and those with a p of F grouped by rank, stably: within a
+    group they keep the order of deg beta - |p| and code(beta - p), so G's
+    rows are sorted by (rank, degree, code).  Each F row meets the prefix
+    of its group that fits under order: searchsorted finds the group's
+    start among G's ranks and the prefix's end on the key rank * base +
+    degree.
+    """
+    base = codec.base
+    fp, fdeg, fcode, fval = _lowered(*_arrays(F, codec, map(_degree, F._terms)), codec,
+                                     math.perm)
+    gdeg, gcode, gval = _arrays(G, codec, map(_degree, G._terms))
+    by = np.argsort(gdeg * cells + gcode)
+    gp, gdeg, gcode, gval = _lowered(gdeg[by], gcode[by], gval[by], codec, math.comb)
+    rows = len(fp)
+    rank = np.full(cells, rows, np.int64)  # first the first row of each p, then its rank
+    np.minimum.at(rank, fp, np.arange(rows))
+    ps = np.flatnonzero(rank < rows)
+    ps = ps[np.argsort(rank[ps])]
+    rank.fill(-1)
+    rank[ps] = np.arange(len(ps))
+    frank, grank = rank[fp], rank[gp]
+    by = np.argsort(frank * rows + np.arange(rows))  # stably: the keys are distinct
+    frank, fdeg, fcode, fval = frank[by], fdeg[by], fcode[by], fval[by]
+    by = np.flatnonzero(grank >= 0)
+    by = by[np.argsort(grank[by] * len(gp) + by)]
+    grank = grank[by]
+    first = np.searchsorted(grank, frank)
+    n = np.searchsorted(grank * base + gdeg[by], frank * base + (order - fdeg), "right") - first
+    return fcode, fval, n, first, gcode[by], gval[by]
 
 
 def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:
@@ -778,13 +939,18 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
     base = max_order + 1
     codec = _codec(base, low)
     parts: dict[int, list] = {}  # m -> m F_m
-    for m, code, c in _coded(low, codec):
+    for m, code, c in zip(map(_degree, low._terms), _coded(low, codec), low._terms.values()):
         parts.setdefault(m, []).append((m, code, m * c))
     cells = base ** len(codec.coords)
     G = {0: [(0, 0, g0)]}  # n -> G_n, for the degrees n that have a group
     for n in range(1, base):
         if groups := [(G[n - m], fm) for m, fm in parts.items() if n - m in G]:
-            G[n] = [(n, k, s / n) for k, s in _convolve(groups, n, cells).items()]
+            # degrees n - m and m: every pair fits
+            if _dense(sum(len(fs) * len(gs) for fs, gs in groups), cells):
+                out = _convolve_dense(*_stacked(groups), cells)
+            else:
+                out = _convolve(groups, n)
+            G[n] = [(n, k, s / n) for k, s in out.items()]
     out = {k: s for Gn in G.values() for _, k, s in Gn}
     return _decoded(out, codec, F.dim, max_order, F.prune, type(F))
 
@@ -863,7 +1029,7 @@ def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
     k = len(stores)
     if any(F.dim != stores[0].dim for F in stores):
         raise DimensionMismatchError(f"dims differ: {[F.dim for F in stores]}")
-    coords = sorted({i for F in stores for a in F._terms for i, _ in a.entries})
+    coords = _coords(stores)
     if not coords:
         C = np.array([[F._terms.get(EMPTY, 0.0)] for F in stores])
         return _Plan(k, coords, 0, C, None, None, [], 0)

@@ -172,19 +172,31 @@ def huge(dim, order):
     return ChaosVector(dim, order, terms, prune=0.0)
 
 
+def steep(order):
+    """1e306 at H_order(e~_0): its lowered values 1e306 * p! C(order, p)
+    overflow before any pair is formed, from int64 weights at order 6 and
+    from Python-int weights at order 24."""
+    return ChaosVector(2, order, {MultiIndex([(0, order)]): 1e306,
+                                  MultiIndex([(1, 1)]): 1.0}, prune=0.0)
+
+
 @pytest.mark.parametrize("crossover,chunk", ROUTES, ids=["dict", "numpy"])
 @pytest.mark.parametrize("product", [wick_product, ordinary_product])
 def test_overflowing_products_raise(monkeypatch, product, crossover, chunk):
+    # loud on both routes, and on the array route without a numpy warning
     monkeypatch.setattr(chaos, "_CROSSOVER", crossover)
     monkeypatch.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
     monkeypatch.setattr(chaos, "_CHUNK", chunk)
-    F = huge(3, 4)
-    for codec in (cold, lambda: None):
-        codec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="not finite"):
-                product(F, F, clip=True)
+    cases = [huge(3, 4)]
+    if product is ordinary_product:
+        cases += [steep(6), steep(24)]
+    for F in cases:
+        for codec in (cold, lambda: None):
+            codec()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="not finite"):
+                    product(F, F, clip=True)
 
 
 def test_overflowing_translate_and_wick_exp_raise():

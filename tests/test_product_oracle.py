@@ -25,6 +25,7 @@ from wickchaos.chaos import (ChaosVector, expectation, exponential_vector,
                              ordinary_product, wick_exp, wick_product)
 from wickchaos.errors import DimensionMismatchError, DomainError, OrderOverflowError
 from wickchaos.multiindex import EMPTY, MultiIndex
+from wickchaos.renormalization import PolySeries, poly_mul
 from wickchaos.stransform import s_transform, translate
 
 from helpers import absolute, assert_coeffs_close, signed, vectors
@@ -214,13 +215,14 @@ def test_wide_support_codes_exceed_64_bits():
 
 @pytest.fixture
 def dense_route(monkeypatch):
-    """Records the pair count of every call of the numpy pair loop."""
+    """Records the pair count of every call of the numpy pair loop, the sum
+    of its per-row counts n."""
     calls = []
     dense = chaos._convolve_dense
 
-    def spy(*args):
-        calls.append(args[2])
-        return dense(*args)
+    def spy(fcode, fval, n, *rest):
+        calls.append(int(n.sum()))
+        return dense(fcode, fval, n, *rest)
 
     monkeypatch.setattr(chaos, "_convolve_dense", spy)
     return calls
@@ -271,37 +273,104 @@ def test_results_repeat_bitwise_and_clip_never_raises(data, pair):
 
 # -- the two routes of the pair loop ----------------------------------------------
 
-# (crossover, chunk): numpy in chunks of a few pairs, numpy in one chunk,
-# and the dict loop whatever the pair count; cells never tip the choice
+# (crossover, chunk): the array route in chunks of a few pairs, the array
+# route in one chunk, and the dict loop whatever the pair count; cells never
+# tip the choice
 ROUTES = [(0, 3), (0, 1 << 20), (1 << 62, 1 << 15)]
+
+
+def bits(P):
+    """The terms of P in store order, each coefficient as its exact bits."""
+    return [(a, c.hex()) for a, c in P.items()]
+
+
+def on_routes(product, F, G, clip):
+    """bits(product(F, G, clip=clip)) on every route of ROUTES."""
+    out = []
+    for crossover, chunk in ROUTES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chaos, "_CROSSOVER", crossover)
+            mp.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+            mp.setattr(chaos, "_CHUNK", chunk)
+            out.append(bits(product(F, G, clip=clip)))
+    return out
+
+
+def spread(F, dim, coords):
+    """F with coordinate i moved to coords[i], in dimension dim."""
+    return ChaosVector(dim, F.max_order,
+                       {MultiIndex([(coords[i], m) for i, m in a.entries]): c
+                        for a, c in F.items()}, prune=F.prune)
 
 
 @st.composite
 def route_pairs(draw):
-    """operand_pairs, or two exponential vectors with hundreds of pairs."""
-    if draw(st.booleans()):
+    """operand_pairs; two exponential vectors with hundreds of pairs, on
+    the coordinates 0, 1, 2 or on the coordinates 1, 4, 8 of dim 9; or
+    such a vector and an empty one."""
+    kind = draw(st.sampled_from(["sparse", "dense", "spread", "empty"]))
+    if kind == "sparse":
         return draw(operand_pairs())
     dim, order = draw(st.integers(1, 3)), draw(st.integers(2, 6))
     f, g = (draw(st.lists(signed(0.1, 0.9), min_size=dim, max_size=dim)) for _ in "fg")
-    return exponential_vector(f, order), exponential_vector(g, order)
+    F, G = exponential_vector(f, order), exponential_vector(g, order)
+    if kind == "spread":
+        F, G = spread(F, 9, (1, 4, 8)), spread(G, 9, (1, 4, 8))
+    if kind == "empty":
+        F, G = draw(st.permutations([F, ChaosVector.zero(dim, order)]))
+    return F, G
+
+
+def widened(V, order):
+    """V under the cap order, as a ChaosVector and as a PolySeries."""
+    return V.with_max_order(order), PolySeries(V.dim, V.terms, order)
 
 
 @SETTINGS
 @given(pair=route_pairs())
 def test_routes_and_chunkings_agree_bitwise(pair):
+    # every product on the array route, in chunks of three pairs and in one
+    # chunk, gives the coefficients of the dict loop to the bit, in its
+    # term order: clipped and unclipped, and poly_mul on PolySeries
+    F, G = pair
+    order = max(F.max_order, G.max_order, F.degree() + G.degree())
+    (Fw, Fp), (Gw, Gp) = widened(F, order), widened(G, order)
+    cases = [(wick_product, F, G, True), (ordinary_product, F, G, True),
+             (wick_product, Fw, Gw, False), (ordinary_product, Fw, Gw, False),
+             (poly_mul, Fp, Gp, False)]
+    for product, A, B, clip in cases:
+        first, *rest = on_routes(product, A, B, clip)
+        assert all(r == first for r in rest), (product.__name__, clip)
+
+
+@st.composite
+def high_order_pairs(draw):
+    """One- or two-coordinate operands at order 19, 21 or 24, F holding
+    H_order(e~_0): its weights p! C(alpha, p) reach order!, past 2^53 at
+    19 and past int64 at 21 and 24."""
+    order, dim = draw(st.sampled_from([19, 21, 24])), draw(st.integers(1, 2))
+
+    def label():
+        deg = draw(st.one_of(st.integers(0, 3), st.integers(order - 4, order)))
+        j = draw(st.integers(0, min(deg, 3))) if dim == 2 else 0
+        return MultiIndex([(0, deg - j), (1, j)])
+
+    F, G = ({label(): draw(signed(1e-3, 2.0)) for _ in range(draw(st.integers(1, 4)))}
+            for _ in "FG")
+    F[MultiIndex([(0, order)])] = draw(signed(1e-3, 2.0))
+    return ChaosVector(dim, order, F, prune=0.0), ChaosVector(dim, order, G, prune=0.0)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(pair=high_order_pairs())
+def test_routes_agree_bitwise_past_int64_weights(pair):
     F, G = pair
     for product in (wick_product, ordinary_product):
-        results = []
-        for crossover, chunk in ROUTES:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(chaos, "_CROSSOVER", crossover)
-                mp.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
-                mp.setattr(chaos, "_CHUNK", chunk)
-                results.append(product(F, G, clip=True))
-        first = results[0]
-        for P in results[1:]:
-            assert P == first
-            assert [(a, c) for a, c in P.items()] == [(a, c) for a, c in first.items()]
+        first, *rest = on_routes(product, F, G, True)
+        assert all(r == first for r in rest)
+    # and the product is the exact one, rounded
+    P = ordinary_product(F, G, clip=True)
+    assert_matches(P, oracle_product(F, G, ordinary_factor, True), 0.0)
 
 
 # -- the Wick exponential ---------------------------------------------------------
