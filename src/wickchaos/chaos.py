@@ -61,6 +61,7 @@ records each code's first visit.  ufunc.at is unbuffered and runs in
 index order, so every code's sum adds the same products in the same order
 as the dict loop, and the terms come out in first-visit order: both
 routes, at any chunk size, give the same bits in the same term order.
+The kernel returns the arrays (codes, sums), which _decoded reads.
 
 Labels go through codecs.  A codec holds the two maps label -> code and
 code -> label of one key (K+1, i_0, i_1, ...).  A code is a pure function
@@ -88,8 +89,8 @@ exp<>(F) = sum_k F^{<>k} / k! solves N G = (N F) <> G degree by degree:
 
 G_n reads only F's parts of degree <= n, so projecting onto degrees <= K
 is exact.  wick_exp makes one pair loop over the groups (G_{n-m}, m F_m)
-per degree; exponential_vector and renormalization's quadratic exponentials
-call it.
+per degree, and a degree of one pair adds it directly, as the loop would;
+exponential_vector and renormalization's quadratic exponentials call it.
 
 The sparse store itself (_Store) has three users.  SymTensor keeps the
 value of a symmetric order-n tensor at a sorted index tuple t under the
@@ -101,8 +102,14 @@ renormalization satisfies :pq: = :p: <> :q:.  The remaining maps act on
 one coordinate at a time, each label m becoming a 1-D expansion
 sum_{n <= m} w_n (label n): the Hermite shift of stransform.translate and
 the monomial/Hermite changes of basis of renormalization.poly_to_chaos and
-chaos_to_poly.  They share the one coordinatewise kernel _coordinatewise on
-the same codes.
+chaos_to_poly.  They share _coordinatewise, which runs one pair loop per
+used coordinate on the same codes: a term of digit m at the place value w
+meets the entries (n, w_n) of its label's expansion and adds c w_n at its
+code minus (m - n) w.  Its routes are the products': _dense, on the lower
+bound n_terms * u of the pairs (a term meets at least one entry per
+coordinate), picks the dict loop or _convolve_dense before any array is
+built, and on arrays each coordinate reads the (codes, sums) of the one
+before, so both routes give the same bits in the same term order.
 
 Evaluation is a bilinear form.  Cut the used coordinates into a head set
 (those below a cut coordinate) and a tail set, and write each label as
@@ -503,6 +510,7 @@ _CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
 _CHUNK = 1 << 15  # pairs per numpy chunk: ~2.5 MiB of pair arrays; 2^14-2^18 time alike
 _CODEC_LABELS = 1 << 16  # labels and codecs held at most before all codecs are dropped
 _INT64_BASE = 21  # largest base whose integer weights fit int64: 20! < 2^63 < 21!
+_UNSEEN = np.iinfo(np.int64).max  # the first visit of a code no pair has visited
 
 _codecs: dict[tuple[int, ...], "_Codec"] = {}  # (base, *coords) -> its codec
 _held = 0  # labels and codecs made since the codecs were last dropped, or more
@@ -603,23 +611,31 @@ def _convolve(groups, order: int) -> dict[int, float]:
     return out
 
 
+def _cells(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """_convolve_dense's dense arrays over cells codes: zeroed sums and
+    first visits marked unvisited."""
+    return np.zeros(cells), np.full(cells, _UNSEEN, np.int64)
+
+
 def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: np.ndarray,
-                    gcode: np.ndarray, gval: np.ndarray, cells: int) -> dict[int, float]:
+                    gcode: np.ndarray, gval: np.ndarray,
+                    cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The dict loop on numpy, _CHUNK pairs at a time.  Row r, of code
     fcode[r] and value fval[r], meets the n[r] terms of (gcode, gval) from
-    first[r] on, rows in order; every code is below cells.
+    first[r] on, rows in order; every code is below the size of cells, the
+    arrays (sums, first visits) of _cells, which are left as found.
+    Returns the arrays (codes, sums) in first-visit order.
 
     Pair t belongs to row r when starts[r] <= t < ends[r] and meets term
-    t + shift[r].  Sums and first visits go to dense arrays indexed by
+    t + shift[r].  Sums and first visits go to the dense arrays indexed by
     code; ufunc.at is unbuffered and runs in index order, so each sum
     associates as in the dict loop.
     """
+    sums, seen = cells
     ends = np.cumsum(n)
     total = int(ends[-1]) if len(ends) else 0
     starts = ends - n
     shift = first - starts
-    sums = np.zeros(cells)
-    seen = np.full(cells, total, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         r0 = int(np.searchsorted(ends, lo, "right"))
@@ -632,9 +648,11 @@ def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: n
         with np.errstate(over="ignore", invalid="ignore"):  # as floats do: the store raises
             np.add.at(sums, code, fval[rows] * gval[j])
         np.minimum.at(seen, code, t)
-    codes = np.flatnonzero(seen < total)
+    codes = np.flatnonzero(seen != _UNSEEN)
     codes = codes[np.argsort(seen[codes])]
-    return dict(zip(codes.tolist(), sums[codes].tolist()))
+    out = sums[codes]
+    sums[codes], seen[codes] = 0.0, _UNSEEN
+    return codes, out
 
 
 def _stacked(groups) -> tuple[np.ndarray, ...]:
@@ -730,13 +748,16 @@ def _lowered_dict(F: ChaosVector, codec: _Codec, weight) -> dict[int, list]:
     return groups
 
 
-def _decoded(out: dict[int, float], codec: _Codec, dim: int, order: int, prune: float,
-             cls: type[_Store]) -> _Store:
-    """The store of {code: c}, every code below base^len(coords) and of
-    digit sum <= order: a code the codec knows reads its label, any other
-    is decoded by divmod into a new one."""
+def _decoded(out: dict[int, float] | tuple[np.ndarray, np.ndarray], codec: _Codec, dim: int,
+             order: int, prune: float, cls: type[_Store]) -> _Store:
+    """The store of {code: c}, or of the arrays (codes, sums) of
+    _convolve_dense, every code below base^len(coords) and of digit sum <=
+    order: a code the codec knows reads its label, any other is decoded by
+    divmod into a new one."""
+    codes, values = ((out.keys(), out.values()) if isinstance(out, dict)
+                     else (out[0].tolist(), out[1].tolist()))
     label = codec.label
-    if new := [k for k in out if k not in label]:
+    if new := [k for k in codes if k not in label]:
         base, coords = codec.base, codec.coords
         labels = []
         for code in new:
@@ -750,8 +771,7 @@ def _decoded(out: dict[int, float], codec: _Codec, dim: int, order: int, prune: 
                 k += 1
             labels.append(MultiIndex._canonical(tuple(entries), degree))
         codec.learn(labels, new)
-    return cls._trusted(dim, order, dict(zip(map(label.__getitem__, out), out.values())),
-                        prune)
+    return cls._trusted(dim, order, dict(zip(map(label.__getitem__, codes), values)), prune)
 
 
 def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Store:
@@ -763,20 +783,41 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
     ChaosVector.  Each has n <= m, so the integer codes of the product
     kernel stay valid.  Each coordinate's table is built once, for the
     labels m up to the largest one F uses there.
+
+    The route is picked before any array is built (see the module
+    docstring).  On arrays, a term of code c and digit m at the place value
+    w is a row of code c - m w that meets table m's entries (n w, w_n),
+    from its offset into the flattened tables on; the cell arrays serve
+    every coordinate.
     """
     base = F.max_order + 1
     codec = _codec(base, F)
-    terms = dict(zip(_coded(F, codec), F._terms.values()))
-    for i, w in codec.place.items():
-        table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
-        out: dict[int, float] = {}
-        get = out.get
-        for code, c in terms.items():
+    cells = base ** len(codec.coords)
+    if _dense(len(F._terms) * len(codec.coords), cells):
+        n = len(F._terms)
+        terms = np.array(_coded(F, codec), np.int64), np.fromiter(F._terms.values(), float, n)
+        work = _cells(cells)
+        for i, w in codec.place.items():
+            code, val = terms
             m = code // w % base
-            for n, h in table[m].items():
-                k = code - (m - n) * w
-                out[k] = get(k, 0.0) + c * h
-        terms = out
+            table = [tables(i, k) for k in range(int(m.max()) + 1)]
+            sizes = np.array(list(map(len, table)), np.int64)
+            terms = _convolve_dense(code - m * w, val, sizes[m], (np.cumsum(sizes) - sizes)[m],
+                                    np.fromiter(chain.from_iterable(table), np.int64) * w,
+                                    np.array([h for t in table for h in t.values()], float),
+                                    work)
+    else:
+        terms = dict(zip(_coded(F, codec), F._terms.values()))
+        for i, w in codec.place.items():
+            table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
+            out: dict[int, float] = {}
+            get = out.get
+            for code, c in terms.items():
+                m = code // w % base
+                for n, h in table[m].items():
+                    k = code - (m - n) * w
+                    out[k] = get(k, 0.0) + c * h
+            terms = out
     return _decoded(terms, codec, F.dim, F.max_order, prune, cls)
 
 
@@ -807,7 +848,8 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
         gdeg, gcode, gval = _arrays(G, codec, gd)
         by = np.argsort(gdeg * cells + gcode)  # by (degree, code); codes are distinct
         n = np.searchsorted(gdeg[by], order - fdeg, "right")
-        out = _convolve_dense(fcode, fval, n, np.zeros_like(n), gcode[by], gval[by], cells)
+        out = _convolve_dense(fcode, fval, n, np.zeros_like(n), gcode[by], gval[by],
+                              _cells(cells))
     else:
         fs = list(zip(fd, _coded(F, codec), F._terms.values()))
         out = _convolve([(fs, sorted(zip(gd, _coded(G, codec), G._terms.values())))], order)
@@ -858,7 +900,7 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
     # side: the pairs are at most min(L_F ng, nf L_G), itself >= nf * ng
     if nf and ng and (_dense(nf * ng, cells) or (_dense(_contractions(F) * ng, cells)
                                                  and _dense(nf * _contractions(G), cells))):
-        out = _convolve_dense(*_contracted(F, G, codec, order, cells), cells)
+        out = _convolve_dense(*_contracted(F, G, codec, order, cells), _cells(cells))
     else:
         gs = _lowered_dict(G, codec, math.comb)
         out = _convolve([(fs, sorted(gs[p])) for p, fs in
@@ -946,11 +988,15 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
     for n in range(1, base):
         if groups := [(G[n - m], fm) for m, fm in parts.items() if n - m in G]:
             # degrees n - m and m: every pair fits
-            if _dense(sum(len(fs) * len(gs) for fs, gs in groups), cells):
-                out = _convolve_dense(*_stacked(groups), cells)
+            if len(groups) == 1 and len(groups[0][0]) == len(groups[0][1]) == 1:
+                ((_, ca, c),), ((_, cb, d),) = groups[0]
+                out = ((ca + cb, 0.0 + c * d),)  # the one pair, as the dict loop adds it
+            elif _dense(sum(len(fs) * len(gs) for fs, gs in groups), cells):
+                codes, sums = _convolve_dense(*_stacked(groups), _cells(cells))
+                out = zip(codes.tolist(), sums.tolist())
             else:
-                out = _convolve(groups, n)
-            G[n] = [(n, k, s / n) for k, s in out.items()]
+                out = _convolve(groups, n).items()
+            G[n] = [(n, k, s / n) for k, s in out]
     out = {k: s for Gn in G.values() for _, k, s in Gn}
     return _decoded(out, codec, F.dim, max_order, F.prune, type(F))
 

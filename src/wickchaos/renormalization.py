@@ -13,8 +13,10 @@ real arithmetic) and by Monte Carlo over Y.
 The law :pq: = :p:<>:q: is also why PolySeries is ChaosVector's store
 under another reading: poly_mul is the Wick convolution on monomial
 labels, poly_power the Wick power and poly_eval the S-transform.  The
-changes of basis poly_to_chaos and chaos_to_poly run in chaos's one
-coordinatewise kernel.
+changes of basis poly_to_chaos and chaos_to_poly run in
+chaos._coordinatewise, as stransform.translate does: on the dict loop for
+small series and on the product kernel's int64 arrays for large ones, with
+the same bits either way.
 
 Quadratic exponentials: for e~ standard Gaussian the renormalized
 square-exponential has the L2 expansion

@@ -10,8 +10,9 @@ the same sum that evaluates a polynomial on its monomial coefficients, so
 renormalization.poly_eval is s_transform on a PolySeries (and poly_mul is
 the Wick convolution on monomial labels).  Translation by y acts
 coordinatewise through the Hermite shift
-H_n(x + a) = sum_k C(n,k) a^k H_{n-k}(x), in chaos's one coordinatewise
-kernel.
+H_n(x + a) = sum_k C(n,k) a^k H_{n-k}(x), in chaos._coordinatewise: on the
+dict loop for small vectors and on the product kernel's int64 arrays for
+large ones, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def translate(F: ChaosVector, y: Sequence[float]) -> ChaosVector:
 
     S(tau_y F)(xi) = S(F)(xi + y); exactness is one of the library's
     cross-checks.  The shift acts on one coordinate at a time, in
-    chaos._coordinatewise.
+    chaos._coordinatewise (see the module docstring).
     """
     if len(y) != F.dim:
         raise DimensionMismatchError(f"shift length {len(y)} != dim {F.dim}")

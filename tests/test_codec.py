@@ -200,11 +200,25 @@ def test_overflowing_products_raise(monkeypatch, product, crossover, chunk):
 
 
 def test_overflowing_translate_and_wick_exp_raise():
+    # loud on both routes, and on the array route without a numpy warning
     F = ChaosVector(2, 6, {MultiIndex([(0, 6)]): 1e306, MultiIndex([(1, 1)]): 1.0}, prune=0.0)
-    with pytest.raises(DomainError, match="not finite"):
-        translate(F, [1e3, 0.0])
-    with pytest.raises(DomainError, match="not finite"):
-        wick_exp(ChaosVector(1, 2, {EMPTY: 700.0, MultiIndex([(0, 1)]): 1e300}), 2)
+    # (4,8) translates on the array route at the default crossover, where
+    # inf - inf makes a NaN inside the kernel
+    E = exponential_vector([0.3, -0.2, 0.1, 0.4], 8)
+    G = ChaosVector(4, 8, {a: 1e300 * c for a, c in E.items()}, prune=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            translate(G, [1e3, -1e3, 1e3, 0.0])
+        for crossover, chunk in ROUTES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chaos, "_CROSSOVER", crossover)
+                mp.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+                mp.setattr(chaos, "_CHUNK", chunk)
+                with pytest.raises(DomainError, match="not finite"):
+                    translate(F, [1e3, 0.0])
+                with pytest.raises(DomainError, match="not finite"):
+                    wick_exp(ChaosVector(1, 2, {EMPTY: 700.0, MultiIndex([(0, 1)]): 1e300}), 2)
 
 
 def test_a_nan_is_never_pruned():

@@ -1,5 +1,6 @@
 """Products, translation and the Wick exponential against an exact-rational
-oracle.
+oracle, and the two routes of the product and coordinatewise kernels
+against each other.
 
 The oracle works on sparse maps {((i, m), ...): Fraction} and applies the
 coordinatewise definitions: a pair of basis elements multiplies coordinate
@@ -25,7 +26,7 @@ from wickchaos.chaos import (ChaosVector, expectation, exponential_vector,
                              ordinary_product, wick_exp, wick_product)
 from wickchaos.errors import DimensionMismatchError, DomainError, OrderOverflowError
 from wickchaos.multiindex import EMPTY, MultiIndex
-from wickchaos.renormalization import PolySeries, poly_mul
+from wickchaos.renormalization import PolySeries, chaos_to_poly, poly_mul, poly_to_chaos
 from wickchaos.stransform import s_transform, translate
 
 from helpers import absolute, assert_coeffs_close, signed, vectors
@@ -284,15 +285,15 @@ def bits(P):
     return [(a, c.hex()) for a, c in P.items()]
 
 
-def on_routes(product, F, G, clip):
-    """bits(product(F, G, clip=clip)) on every route of ROUTES."""
+def on_routes(op, *args, **kwargs):
+    """bits(op(*args, **kwargs)) on every route of ROUTES."""
     out = []
     for crossover, chunk in ROUTES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chaos, "_CROSSOVER", crossover)
             mp.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
             mp.setattr(chaos, "_CHUNK", chunk)
-            out.append(bits(product(F, G, clip=clip)))
+            out.append(bits(op(*args, **kwargs)))
     return out
 
 
@@ -339,7 +340,7 @@ def test_routes_and_chunkings_agree_bitwise(pair):
              (wick_product, Fw, Gw, False), (ordinary_product, Fw, Gw, False),
              (poly_mul, Fp, Gp, False)]
     for product, A, B, clip in cases:
-        first, *rest = on_routes(product, A, B, clip)
+        first, *rest = on_routes(product, A, B, clip=clip)
         assert all(r == first for r in rest), (product.__name__, clip)
 
 
@@ -366,11 +367,64 @@ def high_order_pairs(draw):
 def test_routes_agree_bitwise_past_int64_weights(pair):
     F, G = pair
     for product in (wick_product, ordinary_product):
-        first, *rest = on_routes(product, F, G, True)
+        first, *rest = on_routes(product, F, G, clip=True)
         assert all(r == first for r in rest)
     # and the product is the exact one, rounded
     P = ordinary_product(F, G, clip=True)
     assert_matches(P, oracle_product(F, G, ordinary_factor, True), 0.0)
+
+
+# -- the two routes of the coordinatewise maps -------------------------------------
+
+@st.composite
+def coordinatewise_cases(draw):
+    """A vector and a shift: a generated sparse vector; an exponential
+    vector with hundreds of table entries, on its first coordinates or on
+    the coordinates 1, 4, 8 (and 6 at dim 4) of dim 9; an empty or a
+    constant-only vector.  Some coordinates of the shift are 0, where its
+    table is the identity."""
+    kind = draw(st.sampled_from(["sparse", "dense", "spread", "empty", "constant"]))
+    dim, order = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    if kind == "sparse":
+        F = draw(vectors(dim, order))
+    elif kind == "empty":
+        F = ChaosVector.zero(dim, order)
+    elif kind == "constant":
+        F = ChaosVector.constant(draw(signed(1e-3, 2.0)), dim, order)
+    else:
+        F = exponential_vector(draw(st.lists(signed(0.1, 0.9), min_size=dim, max_size=dim)),
+                               order)
+        if kind == "spread":
+            F = spread(F, 9, (1, 4, 8, 6))
+    y = draw(st.lists(st.one_of(st.just(0.0), signed(1e-3, 2.0)),
+                      min_size=F.dim, max_size=F.dim))
+    return F, y
+
+
+@SETTINGS
+@given(case=coordinatewise_cases())
+def test_coordinatewise_routes_agree_bitwise(case):
+    # translate and both changes of basis on the array route, in chunks of
+    # three pairs and in one chunk, give the coefficients of the dict loop
+    # to the bit, in its term order; poly_to_chaos reads PolySeries
+    F, y = case
+    P = PolySeries(F.dim, F.terms, F.max_order)
+    for op, *args in [(translate, F, y), (chaos_to_poly, F), (poly_to_chaos, P)]:
+        first, *rest = on_routes(op, *args)
+        assert all(r == first for r in rest), op.__name__
+
+
+def test_coordinatewise_route_is_picked_by_size(dense_route):
+    # (4,8): 495 terms on 4 coordinates, one kernel call per coordinate
+    F = exponential_vector([0.3, -0.2, 0.1, 0.4], 8)
+    y = [0.25, 0.0, -0.5, 1.5]
+    T = translate(F, y)
+    assert len(dense_route) == 4
+    assert_matches(T, oracle_translate(F, y), T.prune)
+    # (3,5): 56 terms on 3 coordinates stay on the dict loop
+    dense_route.clear()
+    translate(exponential_vector([0.3, -0.2, 0.1], 5), [0.25, 0.0, -0.5])
+    assert not dense_route
 
 
 # -- the Wick exponential ---------------------------------------------------------
