@@ -36,11 +36,9 @@ codes.
 
 The loop has two routes, picked before any term is lowered or put in an
 array.  The Wick product counts its pairs exactly from the degree
-histograms, sum_a n_F[a] N_G[K - a]; the ordinary product bounds them by
-min(L_F |G|, |F| L_G), with L_F = sum_alpha prod_i (alpha_i + 1) the
-lowered terms of F, since a lowered term meets at most one lowered term
-per term of the other side; wick_exp's groups pair every term and count
-by their sizes.  A product of fewer than _CROSSOVER pairs, plus one per
+histograms, sum_a n_F[a] N_G[K - a]; the ordinary product counts them by
+the lower bound |F| |G|, since every pair of terms meets at least once,
+at p = 0.  A product of fewer than _CROSSOVER pairs, plus one per
 _CELLS_PER_PAIR codes of the range (K+1)^u, runs the dict loop
 (_convolve) on tuples and a dict of Python ints, whose width has no
 limit; so does one whose range exceeds _CELLS, which covers every code
@@ -91,6 +89,8 @@ G_n reads only F's parts of degree <= n, so projecting onto degrees <= K
 is exact.  wick_exp makes one pair loop over the groups (G_{n-m}, m F_m)
 per degree, and a degree of one pair adds it directly, as the loop would;
 exponential_vector and renormalization's quadratic exponentials call it.
+It always runs the dict loop: a degree's groups are small, and on the
+arrays they ran no faster, so no array route is kept for them.
 
 The sparse store itself (_Store) has three users.  SymTensor keeps the
 value of a symmetric order-n tensor at a sorted index tuple t under the
@@ -222,20 +222,13 @@ class _Store:
         self._plan = None  # evaluation plan, built by the first _contract
 
     @classmethod
-    def _new(cls, dim: int, max_order: int, terms: Mapping[MultiIndex, float],
-             prune: float):
-        """An instance of cls, whatever the signature of its constructor."""
-        out = cls.__new__(cls)
-        _Store.__init__(out, dim, max_order, terms, prune)
-        return out
-
-    @classmethod
     def _trusted(cls, dim: int, max_order: int, terms: dict[MultiIndex, float],
                  prune: float):
-        """_new for the kernels' output.  terms, which the store takes
-        over, holds floats at labels of degree <= max_order on coordinates
-        < dim, so only finiteness is checked, before the prune so that no
-        NaN is pruned away."""
+        """The builder of every derived store: the kernels' output, sums,
+        multiples and the stores that tensors and JSON documents are read
+        into.  terms, which the store takes over, holds floats at labels of
+        degree <= max_order on coordinates < dim, so only finiteness is
+        checked, before the prune so that no NaN is pruned away."""
         values = terms.values()
         if not all(map(math.isfinite, values)):
             alpha, c = next((a, c) for a, c in terms.items() if not math.isfinite(c))
@@ -407,8 +400,9 @@ class SymTensor(_Store):
         return math.sqrt(self.norm_sq())
 
     def scale(self, c: float) -> "SymTensor":
-        return SymTensor._new(self.dim, self.order,
-                              {a: c * v for a, v in self._terms.items()}, 0.0)
+        c = float(c)
+        return SymTensor._trusted(self.dim, self.order,
+                                  {a: c * v for a, v in self._terms.items()}, 0.0)
 
     def add(self, other: "SymTensor") -> "SymTensor":
         if self.order != other.order:
@@ -430,13 +424,14 @@ def add(F: ChaosVector, G: ChaosVector) -> ChaosVector:
     out = dict(F._terms)
     for a, c in G._terms.items():
         out[a] = out.get(a, 0.0) + c
-    return type(F)._new(dim, order, out, prune)
+    return type(F)._trusted(dim, order, out, prune)
 
 
 def scale(F: ChaosVector, c: float) -> ChaosVector:
     """c F, of the type of F."""
-    return type(F)._new(F.dim, F.max_order, {a: c * v for a, v in F._terms.items()},
-                        F.prune)
+    c = float(c)
+    return type(F)._trusted(F.dim, F.max_order, {a: c * v for a, v in F._terms.items()},
+                            F.prune)
 
 
 # -- tensor conversion ----------------------------------------------------
@@ -459,8 +454,10 @@ def from_tensor(f: SymTensor, max_order: int | None = None) -> ChaosVector:
 
 def to_tensor(F: ChaosVector, n: int) -> SymTensor:
     """Extract f_n with degree-n part of F equal to I_n(f_n)."""
-    return SymTensor._new(F.dim, n, {a: c / a.ordered_count() for a, c in F._terms.items()
-                                     if a.degree == n}, 0.0)
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    return SymTensor._trusted(F.dim, n, {a: c / a.ordered_count() for a, c in F._terms.items()
+                                         if a.degree == n}, 0.0)
 
 
 # -- inner products and norms ---------------------------------------------
@@ -653,17 +650,6 @@ def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: n
     out = sums[codes]
     sums[codes], seen[codes] = 0.0, _UNSEEN
     return codes, out
-
-
-def _stacked(groups) -> tuple[np.ndarray, ...]:
-    """_convolve_dense's arrays for groups (fs, gs) of triples in which
-    every term of fs meets all of gs."""
-    left = [t for fs, _ in groups for t in fs]
-    right = [t for _, gs in groups for t in gs]
-    sizes, rows = [len(gs) for _, gs in groups], [len(fs) for fs, _ in groups]
-    return (np.array([t[1] for t in left], np.int64), np.array([t[2] for t in left]),
-            np.repeat(sizes, rows), np.repeat(np.cumsum([0] + sizes[:-1]), rows),
-            np.array([t[1] for t in right], np.int64), np.array([t[2] for t in right]))
 
 
 @lru_cache(maxsize=None)
@@ -865,17 +851,6 @@ def _wick_pairs(fd: list[int], gd: list[int], order: int) -> int:
                for a in set(fd))
 
 
-def _contractions(F: _Store) -> int:
-    """sum_alpha prod_i (alpha_i + 1): the rows of F's lowering."""
-    rows = 0
-    for a in F._terms:
-        r = 1
-        for _, m in a.entries:
-            r *= m + 1
-        rows += r
-    return rows
-
-
 def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVector:
     """Pointwise product, exact in the Hermite basis.
 
@@ -895,11 +870,7 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
     base = order + 1
     codec = _codec(base, F, G)
     cells = base ** len(codec.coords)
-    nf, ng = F.n_terms(), G.n_terms()
-    # a lowered term meets at most one lowered term per term of the other
-    # side: the pairs are at most min(L_F ng, nf L_G), itself >= nf * ng
-    if nf and ng and (_dense(nf * ng, cells) or (_dense(_contractions(F) * ng, cells)
-                                                 and _dense(nf * _contractions(G), cells))):
+    if _dense(F.n_terms() * G.n_terms(), cells):  # every pair meets at least at p = 0
         out = _convolve_dense(*_contracted(F, G, codec, order, cells), _cells(cells))
     else:
         gs = _lowered_dict(G, codec, math.comb)
@@ -983,7 +954,6 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
     parts: dict[int, list] = {}  # m -> m F_m
     for m, code, c in zip(map(_degree, low._terms), _coded(low, codec), low._terms.values()):
         parts.setdefault(m, []).append((m, code, m * c))
-    cells = base ** len(codec.coords)
     G = {0: [(0, 0, g0)]}  # n -> G_n, for the degrees n that have a group
     for n in range(1, base):
         if groups := [(G[n - m], fm) for m, fm in parts.items() if n - m in G]:
@@ -991,9 +961,6 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
             if len(groups) == 1 and len(groups[0][0]) == len(groups[0][1]) == 1:
                 ((_, ca, c),), ((_, cb, d),) = groups[0]
                 out = ((ca + cb, 0.0 + c * d),)  # the one pair, as the dict loop adds it
-            elif _dense(sum(len(fs) * len(gs) for fs, gs in groups), cells):
-                codes, sums = _convolve_dense(*_stacked(groups), _cells(cells))
-                out = zip(codes.tolist(), sums.tolist())
             else:
                 out = _convolve(groups, n).items()
             G[n] = [(n, k, s / n) for k, s in out]

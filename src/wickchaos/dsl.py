@@ -22,6 +22,11 @@ Precedence: ^ and <>^ bind tightest, then * and <>, then + and -; all
 binary operators associate left.  '#' starts a comment.  A leading "-"
 makes a negation; inside argument lists, write a comma before a negative
 number so it is not read as subtraction.
+
+Integer literals (exponents, orders, basis indices) have at most the
+digits int() converts, 4300 by default.  An ordinary ^ runs one clipped
+product per unit of its exponent, so its exponent is at most
+runtime.MAX_POWER = 10^5; <>^ squares repeatedly and takes any exponent.
 """
 
 from __future__ import annotations
@@ -214,6 +219,21 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.value in ops
 
+    def integer(self, what: str, skip: int = 0) -> int:
+        """Consume the next token and read it, past its first skip
+        characters (the I or T of a literal), as an integer; ParseError at
+        the token if it is none or has more digits than int() converts."""
+        tok = self.peek()
+        digits = tok.value[skip:]
+        if not digits.isdigit():
+            self.fail(f"expected an integer {what}")
+        try:
+            value = int(digits)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.fail(f"{what} of {len(digits)} digits is too long")
+        self.advance()
+        return value
+
     # statements
 
     def parse_program(self) -> list[Stmt]:
@@ -268,11 +288,9 @@ class _Parser:
         if word == "renorm":
             return RenormCmd(expr=self.parse_expr(), line=tok.line, col=tok.col)
         if word == "humeyer":
-            lit = self.peek()
-            if lit.kind != "tlit":
-                self.fail("expected a tensor literal like T2{(1,2): 1.0}", lit)
-            self.advance()
-            order = int(lit.value[1:])
+            if self.peek().kind != "tlit":
+                self.fail("expected a tensor literal like T2{(1,2): 1.0}")
+            order = self.integer("tensor order", skip=1)
             entries = self.parse_entries()
             return HuMeyerCmd(order=order, entries=entries, line=tok.line, col=tok.col)
         if word == "check":
@@ -330,11 +348,7 @@ class _Parser:
             self.expect_op("(")
             idxs: list[int] = []
             while True:
-                tok = self.peek()
-                if tok.kind != "number" or "." in tok.value or "e" in tok.value.lower():
-                    self.fail("expected an integer basis index")
-                self.advance()
-                idxs.append(int(tok.value))
+                idxs.append(self.integer("basis index"))
                 if self.at_op(","):
                     self.advance()
                     continue
@@ -378,11 +392,7 @@ class _Parser:
         node = self.parse_atom()
         while self.at_op("^", "<>^"):
             op = self.advance()
-            tok = self.peek()
-            if tok.kind != "number" or "." in tok.value or "e" in tok.value.lower():
-                self.fail("expected an integer exponent")
-            self.advance()
-            node = Pow(base=node, exponent=int(tok.value), wick=op.value == "<>^",
+            node = Pow(base=node, exponent=self.integer("exponent"), wick=op.value == "<>^",
                        line=op.line, col=op.col)
         return node
 
@@ -392,8 +402,7 @@ class _Parser:
             self.advance()
             return Num(value=float(tok.value), line=tok.line, col=tok.col)
         if tok.kind == "ilit":
-            self.advance()
-            order = int(tok.value[1:])
+            order = self.integer("chaos order", skip=1)
             entries = self.parse_entries()
             return ChaosLit(order=order, entries=entries, line=tok.line, col=tok.col)
         if tok.kind == "ident" and tok.value == "eps":

@@ -26,6 +26,9 @@ from .stratonovich import stratonovich_integral
 from .serialization import chaos_to_obj
 
 
+MAX_POWER = 10 ** 5  # largest ordinary '^' exponent: one clipped product per unit
+
+
 class CommandError(WickChaosError):
     """A well-formed statement that cannot be executed as written."""
 
@@ -97,6 +100,8 @@ class Session:
                 return ordinary_product(left, right, clip=True)
             return wick_product(left, right, clip=True)
         if isinstance(node, dsl.Pow):
+            if not node.wick and node.exponent > MAX_POWER:
+                raise CommandError(f"exponent {node.exponent} of '^' exceeds {MAX_POWER}")
             base = self.eval_expr(node.base)
             if node.wick:
                 return wick_power(base, node.exponent, clip=True)

@@ -112,7 +112,7 @@ def _store_from_obj(obj: Any, path: str, cls: type[ChaosVector] | type[PolySerie
         if alpha in terms:
             raise SchemaError("duplicate multi-index", f"{tpath}.{label}")
         terms[alpha] = _require_number(entry["coeff"], f"{tpath}.coeff")
-    return cls._new(dim, order, terms, 0.0)
+    return cls._trusted(dim, order, terms, 0.0)
 
 
 def chaos_to_obj(F: ChaosVector) -> dict:

@@ -34,7 +34,7 @@ def trace(f: SymTensor) -> SymTensor:
                 beta = MultiIndex((j, mj - 2 * (j == i)) for j, mj in alpha.entries)
                 vals[beta] = vals.get(beta, 0.0) + v
     vals = dict(sorted(vals.items(), key=lambda kv: kv[0].to_indices()))
-    return SymTensor._new(f.dim, f.order - 2, vals, 0.0)
+    return SymTensor._trusted(f.dim, f.order - 2, vals, 0.0)
 
 
 def trace_k(f: SymTensor, k: int) -> SymTensor:

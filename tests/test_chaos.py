@@ -18,6 +18,7 @@ from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries, poly_mul, poly_power
 from wickchaos.sampling import sample_gaussians
 from wickchaos.stransform import translate
+from wickchaos.stratonovich import trace
 from wickchaos.tensors import SymTensor, basis_tensor
 
 from helpers import absolute, chaos_to_callable, eval_chaos_ref, expect_nd, vectors
@@ -69,6 +70,26 @@ def test_non_finite_translation_is_loud():
         translate(F, [math.nan, 0.0])
     with pytest.raises(DomainError):
         translate(F, [math.inf, 0.0])
+
+
+def test_derived_stores_stay_loud():
+    # sums, multiples, tensors read off a vector and traces are built
+    # without the label checks, but a non-finite coefficient still raises
+    F = exponential_vector([0.3, 0.2], 3)
+    for c in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            scale(F, c)
+    big = ChaosVector(1, 1, {MultiIndex([(0, 1)]): 1e308})
+    with pytest.raises(DomainError):
+        add(big, big)
+    with pytest.raises(DomainError):
+        SymTensor(2, 2, {(0, 1): 1.0}).scale(math.inf)
+    with pytest.raises(DomainError):  # the diagonal of (2, 2) sums 1e308 twice
+        trace(SymTensor(2, 4, {(0, 0, 1, 1): 1e308, (1, 1, 1, 1): 1e308}))
+    with pytest.raises(ValueError):
+        to_tensor(F, -1)
+    zero = add(F, scale(F, -1.0))
+    assert (zero.n_terms(), zero.max_order, zero.prune) == (0, F.max_order, F.prune)
 
 
 def test_basic_constructors():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from wickchaos import runtime
 from wickchaos.cli import main
 
 
@@ -119,6 +120,27 @@ def test_runtime_error_exit_2():
     proc = run_cli("-c", "expect undefined_name")
     assert proc.returncode == 2
     assert "undefined" in proc.stderr
+
+
+def test_long_integer_literal_exit_2():
+    proc = run_cli("-c", "expect 1<>^" + "9" * 5000)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_ordinary_power_is_bounded(monkeypatch):
+    # one clipped product per unit: 10^9 of them would run for hours
+    proc = run_cli("-c", "expect 1^1000000000")
+    assert proc.returncode == 2
+    assert "exceeds" in proc.stderr and proc.stdout == ""
+    proc = run_cli("-c", "expect 1^3")
+    assert proc.returncode == 0
+    assert json.loads(lines(proc)[0]) == {"command": "expect", "value": 1.0}
+    # refused before any product runs, the base's own included
+    monkeypatch.setattr(runtime, "ordinary_product", None)
+    with pytest.raises(runtime.CommandError):
+        runtime.Session().run_program(f"expect (2 * 3)^{runtime.MAX_POWER + 1}")
 
 
 def test_missing_file_exit_2(tmp_path):

@@ -96,6 +96,22 @@ def test_parse_errors_carry_position():
         parse_program("eps = 3")
 
 
+@pytest.mark.parametrize("source,col", [
+    ("x = a^{}", 7),            # the ^ exponent
+    ("x = a<>^{}", 9),          # the <>^ exponent
+    ("x = I{}{{}}", 5),         # the chaos order
+    ("humeyer T{}{{}}", 9),     # the tensor order
+    ("x = I1{{({}): 1}}", 9),   # a basis index
+])
+def test_integer_literals_past_the_digit_limit(source, col):
+    # int() refuses strings of more than 4300 digits by default
+    with pytest.raises(ParseError) as e:
+        parse_program("\n" + source.format("9" * 5000))
+    assert (e.value.line, e.value.col) == (2, col)
+    assert "5000 digits" in str(e.value)
+    assert parse_program(source.format("1"))
+
+
 def test_program_statements():
     stmts = parse_program("""
     F = I2{(1,1): 1.0}   # assignment

@@ -483,6 +483,16 @@ def test_s_transform_of_wick_exp(data, dim, order):
     assert abs(s_transform(wick_exp(F, order), xi) - want) <= 1e-13 * bound
 
 
+def test_wick_exp_runs_the_dict_loop(dense_route, monkeypatch):
+    # no array route, even with every pair count above the crossover
+    F = exponential_vector([0.4, -0.7, 0.25], 3)
+    want = bits(wick_exp(F, 8))
+    monkeypatch.setattr(chaos, "_CROSSOVER", 0)
+    monkeypatch.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+    assert bits(wick_exp(F, 8)) == want
+    assert not dense_route
+
+
 def test_wick_exp_overflow_is_domain_error():
     one = MultiIndex([(0, 1)])
     assert wick_exp(ChaosVector.constant(709.0, 1, 0), 0).coeff(EMPTY) == math.exp(709.0)
