@@ -15,7 +15,8 @@ import sys
 from typing import Sequence
 
 from .errors import WickChaosError
-from .runtime import CheckOutput, ScalarOutput, Session, VectorOutput
+from .runtime import (MAX_DIM, MAX_ORDER, MAX_SAMPLES, CheckOutput, ScalarOutput,
+                      Session, VectorOutput)
 from .serialization import chaos_to_obj
 
 
@@ -50,8 +51,7 @@ def _argparser() -> argparse.ArgumentParser:
 
 
 def _csv_escape(v) -> str:
-    s = repr(v) if isinstance(v, float) else str(v)
-    return s
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _print_scalar(out: ScalarOutput, csv: bool):
@@ -101,6 +101,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: give either a script file or -c TEXT, not both",
               file=sys.stderr)
         return 2
+    if not (1 <= args.dim <= MAX_DIM and 0 <= args.order <= MAX_ORDER
+            and 2 <= args.samples <= MAX_SAMPLES and 0 <= args.check_tolerance < float("inf")):
+        print(f"error: need 1 <= --dim <= {MAX_DIM}, 0 <= --order <= {MAX_ORDER}, "
+              f"2 <= --samples <= {MAX_SAMPLES} and a finite --check-tolerance >= 0",
+              file=sys.stderr)
+        return 2
     if args.command is not None:
         source = args.command
     elif args.script in (None, "-"):
@@ -109,27 +115,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             with open(args.script, "r", encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as e:
-            print(f"error: cannot read {args.script}: {e.strerror}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as e:
+            print(f"error: cannot read {args.script}: {getattr(e, 'strerror', e)}",
+                  file=sys.stderr)
             return 2
-
-    if args.dim < 1 or args.order < 0 or args.samples < 2:
-        print("error: --dim must be >= 1, --order >= 0, --samples >= 2",
-              file=sys.stderr)
-        return 2
 
     session = Session(dim=args.dim, max_order=args.order, seed=args.seed,
                       n_samples=args.samples, tolerance=args.check_tolerance)
-    csv = bool(args.csv)
     checks_failed = False
     try:
         for output in session.run_program(source):
             if isinstance(output, ScalarOutput):
-                _print_scalar(output, csv)
+                _print_scalar(output, args.csv)
             elif isinstance(output, VectorOutput):
-                _print_vector(output, csv)
+                _print_vector(output, args.csv)
             else:
-                _print_check(output, csv)
+                _print_check(output, args.csv)
                 if not output.passed:
                     checks_failed = True
     except WickChaosError as e:  # ParseError included

@@ -8,14 +8,16 @@ derivative-based bridges between the ordinary and Wick products:
     F  G   = sum_p   1  / p! < D^p F, D^p G >_{H(x)p}     (Wick inside)
 
 Both sums are finite because every vector here has finitely many terms.
+D^p F is one level of the recursion D^{p+1} F = D(D^p F): keyed by sorted
+direction tuples, D_{t+(j,)} F = D_j (D_t F) for j >= t[-1], so each tuple
+is derived once from its prefix and a zero D_t F ends its branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .chaos import (ChaosVector, add, inner_product, ordinary_product, scale,
                     wick_product)
@@ -58,7 +60,7 @@ def derivative_dir(F: ChaosVector, j: int) -> ChaosVector:
         m = alpha.multiplicity(j)
         if m:
             out[alpha.decremented(j)] = m * c
-    return ChaosVector(F.dim, F.max_order, out, prune=F.prune)
+    return ChaosVector._trusted(F.dim, F.max_order, out, F.prune)
 
 
 def gradient(F: ChaosVector) -> HValuedChaos:
@@ -77,6 +79,19 @@ def directional_derivative(F: ChaosVector, g: Sequence[float]) -> ChaosVector:
     return out
 
 
+def _levels(F: ChaosVector, p_max: int) -> Iterator[dict[tuple[int, ...], ChaosVector]]:
+    """Yield higher_derivative(F, p) for p = 0..p_max, each from the last."""
+    if p_max < 0:
+        raise ValueError(f"derivative order {p_max} must be >= 0")
+    level = {(): F}
+    yield level
+    for _ in range(p_max):
+        level = {t + (j,): G for t, DtF in level.items() if DtF.n_terms()
+                 for j in range(t[-1] if t else 0, F.dim)
+                 if (G := derivative_dir(DtF, j)).n_terms()}
+        yield level
+
+
 def higher_derivative(F: ChaosVector, p: int) -> dict[tuple[int, ...], ChaosVector]:
     """D^p F keyed by sorted direction tuples.
 
@@ -84,18 +99,7 @@ def higher_derivative(F: ChaosVector, p: int) -> dict[tuple[int, ...], ChaosVect
     directions, so only sorted tuples t are stored; the ordered copies are
     recovered by the multiplicity p!/t! in the norms below.
     """
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    out: dict[tuple[int, ...], ChaosVector] = {}
-    for t in combinations_with_replacement(range(F.dim), p):
-        G = F
-        for j in t:
-            G = derivative_dir(G, j)
-            if G.n_terms() == 0:
-                break
-        if p == 0 or G.n_terms():
-            out[t] = G
-    return out
+    return list(_levels(F, p))[-1]
 
 
 def divergence(u: HValuedChaos) -> ChaosVector:
@@ -112,8 +116,8 @@ def divergence(u: HValuedChaos) -> ChaosVector:
 
 def ou_apply(F: ChaosVector) -> ChaosVector:
     """The number operator delta(DF): scales the degree-n part by n."""
-    return ChaosVector(F.dim, F.max_order,
-                       {a: a.degree * c for a, c in F.items()}, prune=F.prune)
+    return ChaosVector._trusted(F.dim, F.max_order,
+                                {a: a.degree * c for a, c in F.items()}, F.prune)
 
 
 def sobolev_norm(F: ChaosVector, k: int) -> float:
@@ -122,11 +126,9 @@ def sobolev_norm(F: ChaosVector, k: int) -> float:
     |D^i F|^2 sums over ordered direction i-tuples; grouping by sorted
     representative t contributes the multiplicity i!/t!.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     total = 0.0
-    for i in range(k + 1):
-        for t, DtF in higher_derivative(F, i).items():
+    for level in _levels(F, k):
+        for t, DtF in level.items():
             total += MultiIndex.from_indices(t).ordered_count() * inner_product(DtF, DtF)
     return math.sqrt(total)
 
@@ -139,16 +141,12 @@ def _derivative_pairing(F: ChaosVector, G: ChaosVector, product,
     order = max(F.max_order, G.max_order)
     out = ChaosVector.zero(F.dim, order)
     p_max = min(F.degree(), G.degree())
-    for p in range(p_max + 1):
-        DF = higher_derivative(F, p)
-        DG = higher_derivative(G, p)
+    for p, (DF, DG) in enumerate(zip(_levels(F, p_max), _levels(G, p_max))):
         for t, DtF in DF.items():
-            DtG = DG.get(t)
-            if DtG is None:
-                continue
-            w = sign ** p / MultiIndex.from_indices(t).factorial()
-            prod = product(DtF.with_max_order(order), DtG.with_max_order(order))
-            out = add(out, scale(prod, w))
+            if t in DG:
+                w = sign ** p / MultiIndex.from_indices(t).factorial()
+                prod = product(DtF.with_max_order(order), DG[t].with_max_order(order))
+                out = add(out, scale(prod, w))
     return out
 
 

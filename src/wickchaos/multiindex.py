@@ -102,11 +102,10 @@ class MultiIndex:
 
     def decremented(self, idx: int) -> "MultiIndex":
         """Lower the multiplicity at idx by one (idx must be present)."""
-        counts = dict(self.entries)
-        if counts.get(idx, 0) < 1:
+        if not self.multiplicity(idx):
             raise ValueError(f"index {idx} absent, cannot decrement")
-        counts[idx] -= 1
-        return MultiIndex(counts.items())
+        return MultiIndex._canonical(tuple((i, m - (i == idx)) for i, m in self.entries
+                                           if i != idx or m > 1), self.degree - 1)
 
     def factorial(self) -> float:
         """alpha! = prod multiplicities!, the diagonal weight of the basis."""

@@ -27,6 +27,9 @@ from .serialization import chaos_to_obj
 
 
 MAX_POWER = 10 ** 5  # largest ordinary '^' exponent: one clipped product per unit
+MAX_ORDER = 10 ** 4  # largest session order: eps(1) * eps(1) takes ~0.7 s there
+MAX_DIM = 10 ** 6  # largest session dimension: each padded vector holds dim floats
+MAX_SAMPLES = 10 ** 8  # largest Monte Carlo sample count: seconds per check row
 
 
 class CommandError(WickChaosError):
@@ -195,10 +198,9 @@ class Session:
             return VectorOutput("humeyer", stratonovich_integral(self._tensor_literal(stmt)))
         if isinstance(stmt, dsl.CheckCmd):
             names = None if stmt.names is None else list(stmt.names)
-            if names is not None:
-                for name in names:
-                    if name not in CHECKS:
-                        raise CommandError(f"unknown identity {name!r}")
+            for name in names or ():
+                if name not in CHECKS:
+                    raise CommandError(f"unknown identity {name!r}")
             rows = run_checks(names, seed=self.seed, n_samples=self.n_samples,
                               tolerance=self.tolerance)
             return CheckOutput(rows)

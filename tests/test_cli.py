@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wickchaos import runtime
+from wickchaos import cli, runtime
 from wickchaos.cli import main
 
 
@@ -146,6 +146,44 @@ def test_ordinary_power_is_bounded(monkeypatch):
 def test_missing_file_exit_2(tmp_path):
     proc = run_cli(str(tmp_path / "nope.wick"))
     assert proc.returncode == 2
+
+
+def test_undecodable_script_file_exit_2(tmp_path):
+    path = tmp_path / "latin1.wick"
+    path.write_bytes(b"expect 1\n# \xff\n")
+    proc = run_cli(str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--check-tolerance", "nan"), ("--check-tolerance", "inf"),
+    ("--check-tolerance", "-1e-9"), ("--order", "-1"),
+    ("--order", str(runtime.MAX_ORDER + 1)), ("--order", "100000000"),
+    ("--dim", "0"), ("--dim", str(runtime.MAX_DIM + 1)),
+    ("--samples", "1"), ("--samples", str(runtime.MAX_SAMPLES + 1))])
+def test_bad_flag_refused_before_any_work(flag, value, monkeypatch, capsys):
+    # neither the program (stdin here) is read nor a session built
+    monkeypatch.setattr(sys, "stdin", None)
+    monkeypatch.setattr(cli, "Session", None)
+    assert main([f"{flag}={value}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and flag in out.err
+
+
+def test_nan_tolerance_exit_2():
+    # gap <= nan is never true, so every exact row would fail
+    proc = run_cli("--check-tolerance", "nan", "-c", "check chaos_isometry")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
+
+
+def test_flag_bounds_are_inclusive(capsys):
+    for flag, value in (("--order", runtime.MAX_ORDER), ("--dim", runtime.MAX_DIM),
+                        ("--samples", runtime.MAX_SAMPLES), ("--check-tolerance", 0)):
+        assert main([flag, str(value), "-c", "expect 2"]) == 0, flag
+        assert json.loads(capsys.readouterr().out) == {"command": "expect", "value": 2.0}
 
 
 def test_flag_validation_exit_2():

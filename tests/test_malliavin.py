@@ -1,21 +1,25 @@
 """Derivative, divergence, and the product formulas built from them."""
 
 import math
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wickchaos import malliavin, tensors
 from wickchaos.chaos import (ChaosVector, add, coeff_distance, expectation,
                              inner_product, l2_norm, ordinary_product, scale,
-                             wick_product)
+                             to_tensor, wick_product)
 from wickchaos.malliavin import (HValuedChaos, derivative_dir,
                                  directional_derivative, divergence, gradient,
                                  higher_derivative, ou_apply,
                                  product_via_wick_gradients, sobolev_norm,
                                  wick_via_malliavin, wick_with_gaussian)
 from wickchaos.multiindex import EMPTY, MultiIndex
+from wickchaos.tensors import basis_tensor, contract_vector, contraction_1
 
 from helpers import absolute, assert_coeffs_close, vectors
 
@@ -153,6 +157,8 @@ def test_sobolev_norm():
     # H_2(x1): ||F||^2 = 2, ||DF||^2 = 4, k=1 norm sqrt(6)
     G = H(0, 2, 1, 4)
     assert abs(sobolev_norm(G, 1) - math.sqrt(6.0)) < 1e-12
+    with pytest.raises(ValueError):
+        sobolev_norm(F, -1)
 
 
 def test_wick_via_malliavin_matches_convolution():
@@ -195,3 +201,154 @@ def test_expectation_of_divergence_vanishes():
         u = HValuedChaos(tuple(random_chaos(rng, 2, 2, max_order=4)
                                for _ in range(2)))
         assert abs(expectation(divergence(u))) < 1e-12
+
+
+# -- the level recursion against the rebuild-every-tuple algorithm ----------
+
+def _rebuilt_derivative(F, j):
+    """D_j F with every label and the store built by the validating
+    constructors."""
+    out = {}
+    for alpha, c in F.items():
+        m = alpha.multiplicity(j)
+        if m:
+            counts = dict(alpha.entries)
+            counts[j] -= 1
+            out[MultiIndex(counts.items())] = m * c
+    return ChaosVector(F.dim, F.max_order, out, prune=F.prune)
+
+
+def _rebuilt_higher(F, p):
+    """D^p F with every sorted tuple rebuilt from F, one derivative per
+    direction, stopping at a zero."""
+    out = {}
+    for t in combinations_with_replacement(range(F.dim), p):
+        G = F
+        for j in t:
+            G = _rebuilt_derivative(G, j)
+            if G.n_terms() == 0:
+                break
+        if p == 0 or G.n_terms():
+            out[t] = G
+    return out
+
+
+def _rebuilt_sobolev(F, k):
+    total = 0.0
+    for i in range(k + 1):
+        for t, DtF in _rebuilt_higher(F, i).items():
+            total += MultiIndex.from_indices(t).ordered_count() * inner_product(DtF, DtF)
+    return math.sqrt(total)
+
+
+def _rebuilt_pairing(F, G, product, sign):
+    order = max(F.max_order, G.max_order)
+    out = ChaosVector.zero(F.dim, order)
+    for p in range(min(F.degree(), G.degree()) + 1):
+        DG = _rebuilt_higher(G, p)
+        for t, DtF in _rebuilt_higher(F, p).items():
+            if t in DG:
+                w = sign ** p / MultiIndex.from_indices(t).factorial()
+                prod = product(DtF.with_max_order(order), DG[t].with_max_order(order))
+                out = add(out, scale(prod, w))
+    return out
+
+
+def _bits(x):
+    """Everything a result holds, coefficients as exact bit patterns, in
+    storage order."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return tuple((t, _bits(v)) for t, v in x.items())
+    if isinstance(x, (tuple, HValuedChaos)):
+        return tuple(_bits(v) for v in getattr(x, "components", x))
+    return (type(x).__name__, x.dim, x.max_order, x.prune,
+            tuple((a.entries, a.degree, c.hex()) for a, c in x.items()))
+
+
+def _inputs(data):
+    """Generated vectors of degree <= 4 on up to 3 coordinates, one on the
+    non-contiguous coordinates 1 and 4 of 6, and the zero vector."""
+    dim = data.draw(st.integers(1, 3))
+    F, G = (data.draw(vectors(dim, 8, degree=4)) for _ in "FG")
+    gap = data.draw(vectors(6, 8, indices=(1, 4), degree=4))
+    return [(F, G), (gap, data.draw(vectors(6, 8, indices=(1, 4, 5), degree=4))),
+            (ChaosVector.zero(dim, 8), G), (F, ChaosVector.zero(dim, 8))]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_levels_reproduce_the_rebuilt_derivatives_bit_for_bit(data):
+    for F, G in _inputs(data):
+        for p in range(6):
+            assert _bits(higher_derivative(F, p)) == _bits(_rebuilt_higher(F, p))
+            assert _bits(sobolev_norm(F, p)) == _bits(_rebuilt_sobolev(F, p))
+        assert _bits(wick_via_malliavin(F, G)) == _bits(
+            _rebuilt_pairing(F, G, ordinary_product, -1.0))
+        assert _bits(product_via_wick_gradients(F, G)) == _bits(
+            _rebuilt_pairing(F, G, wick_product, 1.0))
+        assert _bits(ou_apply(F)) == _bits(ChaosVector(
+            F.dim, F.max_order, {a: a.degree * c for a, c in F.items()}, prune=F.prune))
+
+
+def _tensor(F, n):
+    """The degree-n tensor of F, or a basis tensor where F has none."""
+    f = to_tensor(F, n)
+    return f if f.n_terms() else basis_tensor(F.dim, (0,) * n)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_operators_on_derivatives_reproduce_the_rebuilt_ones(data):
+    """gradient, directional_derivative, divergence and the tensor
+    contractions give the same bits with the rebuilt D_j in their place."""
+    for F, G in _inputs(data):
+        g = [float(v) for v in np.linspace(-1.0, 2.0, F.dim)]
+        f, h = _tensor(F, 3), _tensor(G, 2)
+        runs = [(lambda: gradient(F)), (lambda: directional_derivative(F, g)),
+                (lambda: divergence(gradient(G))), (lambda: contraction_1(f, h)),
+                (lambda: tuple(contract_vector(f, k) for k in range(F.dim)))]
+        fast = [_bits(run()) for run in runs]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(malliavin, "derivative_dir", _rebuilt_derivative)
+            m.setattr(tensors, "derivative_dir", _rebuilt_derivative)
+            assert [_bits(run()) for run in runs] == fast
+        for j in range(F.dim):
+            assert _bits(derivative_dir(F, j)) == _bits(_rebuilt_derivative(F, j))
+
+
+def _expected_calls(F, p_max):
+    """(D_t F, j) for every nonzero D_t F with |t| < p_max and j >= t[-1]."""
+    calls = []
+    for p in range(p_max):
+        for t, DtF in _rebuilt_higher(F, p).items():
+            if DtF.n_terms():
+                calls += [(_bits(DtF), j) for j in range(t[-1] if t else 0, F.dim)]
+    return Counter(calls)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_each_derivative_is_taken_once_from_its_prefix(data):
+    seen = Counter()
+
+    def spy(F, j):
+        seen[_bits(F), j] += 1
+        return derivative_dir(F, j)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(malliavin, "derivative_dir", spy)
+        for F, G in _inputs(data):
+            for p in range(5):
+                seen.clear()
+                higher_derivative(F, p)
+                assert seen == _expected_calls(F, p)
+            seen.clear()
+            sobolev_norm(F, 3)
+            assert seen == _expected_calls(F, 3)
+            p_max = min(F.degree(), G.degree())
+            for pairing in (wick_via_malliavin, product_via_wick_gradients):
+                seen.clear()
+                pairing(F, G)
+                assert seen == _expected_calls(F, p_max) + _expected_calls(G, p_max)

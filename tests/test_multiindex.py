@@ -83,6 +83,15 @@ def test_decremented():
     assert a.decremented(0).decremented(0) == EMPTY
     with pytest.raises(ValueError):
         a.decremented(1)
+    # the canonical form the validating constructor gives, at any position
+    b = MultiIndex([(1, 1), (4, 3), (7, 2)])
+    for idx, want in ((1, [(4, 3), (7, 2)]), (4, [(1, 1), (4, 2), (7, 2)]),
+                      (7, [(1, 1), (4, 3), (7, 1)])):
+        got = b.decremented(idx)
+        assert (got.entries, got.degree, hash(got)) == (
+            tuple(want), 5, hash(MultiIndex(want))), idx
+    with pytest.raises(ValueError):
+        b.decremented(5)
 
 
 def test_factorial_and_max_index():
