@@ -225,7 +225,8 @@ class _Store:
     def _trusted(cls, dim: int, max_order: int, terms: dict[MultiIndex, float],
                  prune: float):
         """The builder of every derived store: the kernels' output, sums,
-        multiples and the stores that tensors and JSON documents are read
+        multiples, degree parts, Gamma(a) rescalings, Wick-ordered
+        polynomials and the stores that tensors and JSON documents are read
         into.  terms, which the store takes over, holds floats at labels of
         degree <= max_order on coordinates < dim, so only finiteness is
         checked, before the prune so that no NaN is pruned away."""
@@ -316,8 +317,8 @@ class ChaosVector(_Store):
         return ChaosVector(self.dim, max_order, self._terms, prune=0.0)
 
     def degree_part(self, n: int) -> "ChaosVector":
-        return ChaosVector(self.dim, self.max_order,
-                           {a: c for a, c in self._terms.items() if a.degree == n}, prune=0.0)
+        return ChaosVector._trusted(self.dim, self.max_order,
+                                    {a: c for a, c in self._terms.items() if a.degree == n}, 0.0)
 
     # -- operator sugar ------------------------------------------------
 
@@ -448,8 +449,8 @@ def from_tensor(f: SymTensor, max_order: int | None = None) -> ChaosVector:
     cap = n if max_order is None else max_order
     if n > cap:
         raise OrderOverflowError(f"tensor order {n} exceeds max_order {cap}")
-    return ChaosVector(f.dim, cap, {a: a.ordered_count() * v for a, v in f._terms.items()},
-                       prune=0.0)
+    return ChaosVector._trusted(f.dim, cap,
+                                {a: a.ordered_count() * v for a, v in f._terms.items()}, 0.0)
 
 
 def to_tensor(F: ChaosVector, n: int) -> SymTensor:
@@ -489,9 +490,9 @@ def gamma_norm(F: ChaosVector, r: float) -> float:
 
 def second_quantization(F: ChaosVector, a: float) -> ChaosVector:
     """Gamma(a): scale the degree-n component by a^n."""
-    return ChaosVector(F.dim, F.max_order,
-                       {al: c * a ** al.degree for al, c in F._terms.items()},
-                       prune=F.prune)
+    return ChaosVector._trusted(F.dim, F.max_order,
+                                {al: float(c * a ** al.degree) for al, c in F._terms.items()},
+                                F.prune)
 
 
 def expectation(F: ChaosVector) -> float:

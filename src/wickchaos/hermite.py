@@ -19,9 +19,11 @@ and the imaginary-copy moments E[(x + iY)^n] = sigma^n H_n(x / sigma) of
 renormalization.  Hermite linearization (H_a H_b) has no table here: the
 ordinary product in chaos runs its contraction-index form directly.
 
-Orders are capped (DEFAULT_MAX_ORDER, 64 by default) so factorials stay
-inside double range and callers get an explicit error instead of silently
-degraded arithmetic.
+hermite_eval caps its order at DEFAULT_MAX_ORDER = 64 unless the caller
+passes another cap, and factorial at ORDER_LIMIT = 170, the largest n whose
+n! is a double; past either an OrderOverflowError is raised.  Neither cap
+bounds the rest of the package: the exact products and evaluations run past
+order 170.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ def wick_order_poly(p: PolySeries,
         for i, m in alpha.entries:
             w *= sig[i] ** m
         terms[alpha] = w
-    return ChaosVector(p.dim, p.truncation, terms, prune=0.0)
+    return ChaosVector._trusted(p.dim, p.truncation, terms, 0.0)
 
 
 def poly_to_chaos(p: PolySeries) -> ChaosVector:

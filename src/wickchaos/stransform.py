@@ -17,26 +17,35 @@ large ones, with the same bits either way.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .chaos import ChaosVector, _coordinatewise, evaluate
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, DomainError
 from .hermite import hermite_shift
 from .montecarlo import Estimate, mean_estimate
 
 
 def s_transform(F: ChaosVector, xi: Sequence[float]) -> float:
-    """Evaluate S(F) at the point xi of H = R^d (a PolySeries at the point xi)."""
+    """Evaluate S(F) at the point xi of H = R^d (a PolySeries at the point xi).
+
+    Raises DomainError if the sum, or a power on the way, overflows or is NaN.
+    """
     if len(xi) != F.dim:
         raise DimensionMismatchError(f"xi length {len(xi)} != dim {F.dim}")
     out = 0.0
-    for alpha, c in F.items():
-        term = c
-        for i, m in alpha.entries:
-            term *= xi[i] ** m
-        out += term
+    try:
+        for alpha, c in F.items():
+            term = c
+            for i, m in alpha.entries:
+                term *= xi[i] ** m
+            out += term
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError("S-transform is not finite (NaN or overflow to inf)")
     return out
 
 

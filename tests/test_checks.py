@@ -1,7 +1,11 @@
 """The named identity battery behind the check command."""
 
+import math
+
+import numpy as np
 import pytest
 
+from wickchaos import checks
 from wickchaos.checks import CHECKS, CheckRow, run_checks
 
 EXACT_ROWS = [name for name in CHECKS if not name.endswith("_mc")]
@@ -63,6 +67,38 @@ def test_tolerance_is_enforced():
     rows = run_checks(["wick_exp_series_closed"], seed=0, n_samples=500,
                       tolerance=1e-30)
     assert not rows[0].passed
+
+
+def test_nan_gap_fails_its_row(monkeypatch):
+    # max(gap, nan) is gap, so a plain max fold would pass this row
+    monkeypatch.setattr(checks, "coeff_distance", lambda F, G: math.nan)
+    row = run_checks(["wick_convolution_vs_malliavin"], seed=0, n_samples=500)[0]
+    assert math.isnan(row.estimate)
+    assert not row.passed
+
+
+def test_nan_gap_is_not_folded_away(monkeypatch):
+    # a NaN yielded before larger finite gaps still decides the row
+    monkeypatch.setitem(checks._EXACT, "chaos_isometry",
+                        lambda rng: iter([0.5, math.nan, 2.0]))
+    row = run_checks(["chaos_isometry"], seed=0, n_samples=500, tolerance=10.0)[0]
+    assert math.isnan(row.estimate) and not row.passed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_exact_row_yields_a_gap(seed):
+    # an empty generator would report 0.0 and pass
+    for idx, name in enumerate(CHECKS):
+        if name in checks._EXACT:
+            rng = np.random.default_rng(seed + 101 * idx)
+            assert next(checks._EXACT[name](rng), None) is not None, name
+
+
+def test_registries_join_to_checks():
+    assert not set(checks._EXACT) & set(checks._MONTE_CARLO)
+    joined = list(checks._EXACT.items()) + list(checks._MONTE_CARLO.items())
+    assert joined == list(CHECKS.items())
+    assert EXACT_ROWS == list(checks._EXACT)
 
 
 def test_deterministic_given_seed():

@@ -44,6 +44,16 @@ def test_stransform_pads_short_vectors():
     assert row["xi"] == [2.0, 0.0]
 
 
+@pytest.mark.parametrize("program", [
+    "stransform I2{(1,1): 1}, 1e200",  # a power overflows
+    "stransform I2{(1,1): 1e300}, 1e10",  # the sum is inf
+    "stransform I1{(1): 1e300} + I1{(2): -1e300}, 1e10, 1e10"])  # inf - inf
+def test_non_finite_stransform_exit_2(program, capsys):
+    assert main(["-c", program]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and "Traceback" not in out.err
+
+
 def test_translate_command():
     proc = run_cli("-c", "translate I2{(1,1): 1.0}, 1 0")
     assert proc.returncode == 0

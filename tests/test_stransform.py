@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from wickchaos.chaos import (ChaosVector, coeff_distance, evaluate_at,
                              exponential_vector, wick_product)
-from wickchaos.errors import DimensionMismatchError
+from wickchaos.errors import DimensionMismatchError, DomainError
 from wickchaos.multiindex import EMPTY, MultiIndex
+from wickchaos.renormalization import PolySeries, poly_eval
 from wickchaos.stransform import s_transform, s_transform_mc, translate
 
 from helpers import absolute, assert_coeffs_close, signed, vectors
@@ -36,6 +37,23 @@ def test_s_transform_monomials():
     assert s_transform(ChaosVector.constant(7.0, 2, 1), [9.0, 9.0]) == 7.0
     with pytest.raises(DimensionMismatchError):
         s_transform(F, [1.0])
+
+
+def test_s_transform_non_finite_raises():
+    x2 = MultiIndex([(0, 2)])
+    with pytest.raises(DomainError):  # xi_0 ** 2 overflows
+        s_transform(ChaosVector(1, 2, {x2: 1.0}), [1e200])
+    with pytest.raises(DomainError):  # the term overflows to inf
+        s_transform(ChaosVector(1, 2, {x2: 1e300}), [1e10])
+    inf_minus_inf = ChaosVector(2, 1, {MultiIndex([(0, 1)]): 1e300,
+                                       MultiIndex([(1, 1)]): -1e300})
+    with pytest.raises(DomainError):
+        s_transform(inf_minus_inf, [1e10, 1e10])
+    with pytest.raises(DomainError):  # the same sum on monomial labels
+        poly_eval(PolySeries(1, {x2: 1e300}, 2), [1e10])
+    # finite values near the edge are returned unchanged
+    assert s_transform(ChaosVector(1, 2, {x2: 1e300}), [1e4]) == 1e300 * 1e4 ** 2
+    assert s_transform(inf_minus_inf, [1.0, 1.0]) == 0.0
 
 
 def test_s_transform_linear():
