@@ -76,7 +76,12 @@ value, and a thread whose codec is dropped keeps a complete one.  Every
 output label has degree <= K and uses only the operands' coordinates, so
 the kernels hand their output to a trusted store builder (_Store._trusted)
 that skips the label checks.  It keeps the NaN/inf check, made before the
-prune so that a NaN is never pruned away, and the prune.
+prune so that a NaN is never pruned away, and the prune.  Sums build
+through it too.  add(F, *Gs) sums any number of operands in one dict, to
+the bits and term order of the left fold of two-operand adds: a label
+falls under the running prune only when the latest operand touches it.
+Every scalar sum is one checked total, _total, which raises DomainError
+on a term that overflows or a NaN or inf total.
 
 The Wick exponential runs on the same codes.  Second quantization
 respects <>, Gamma(e^t)(F<>G) = Gamma(e^t)F <> Gamma(e^t)G, so at t = 0
@@ -206,7 +211,7 @@ class _Store:
         store: dict[MultiIndex, float] = {}
         for alpha, c in (terms or {}).items():
             if not isinstance(alpha, MultiIndex):
-                alpha = MultiIndex.from_exponents(alpha)
+                raise TypeError(f"label {alpha!r} is a {type(alpha).__name__}, not a MultiIndex")
             if alpha.degree > max_order:
                 raise OrderOverflowError(
                     f"multi-index {alpha} has degree {alpha.degree} > {self._cap} {max_order}")
@@ -333,9 +338,7 @@ class ChaosVector(_Store):
         return scale(self, -1.0)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = ChaosVector.constant(float(other), self.dim, self.max_order)
-        return add(self, scale(other, -1.0))
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -395,7 +398,7 @@ class SymTensor(_Store):
 
     def norm_sq(self) -> float:
         """Sum over ordered tuples of value^2."""
-        return sum(a.ordered_count() * v * v for a, v in self._terms.items())
+        return _total((a.ordered_count() * v * v for a, v in self._terms.items()), "tensor norm")
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -419,13 +422,22 @@ def _common(F: ChaosVector, G: ChaosVector) -> tuple[int, int, float]:
 
 # -- linear structure ----------------------------------------------------
 
-def add(F: ChaosVector, G: ChaosVector) -> ChaosVector:
-    """F + G, of the type of F."""
-    dim, order, prune = _common(F, G)
+def add(F: ChaosVector, *Gs: ChaosVector) -> ChaosVector:
+    """F + G_1 + G_2 + ..., of the type of F (see the module docstring): a
+    touched label under the running prune is dropped unless NaN or inf, and
+    re-enters at the end if touched again, as in the left fold."""
     out = dict(F._terms)
-    for a, c in G._terms.items():
-        out[a] = out.get(a, 0.0) + c
-    return type(F)._trusted(dim, order, out, prune)
+    order, prune = F.max_order, F.prune
+    for G in Gs:
+        if G.dim != F.dim:
+            raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
+        order, prune = max(order, G.max_order), min(prune, G.prune)
+        for a, c in G._terms.items():
+            if abs(v := out.get(a, 0.0) + c) <= prune and math.isfinite(v):
+                out.pop(a, None)
+            else:
+                out[a] = v
+    return type(F)._trusted(F.dim, order, out, prune)
 
 
 def scale(F: ChaosVector, c: float) -> ChaosVector:
@@ -463,17 +475,27 @@ def to_tensor(F: ChaosVector, n: int) -> SymTensor:
 
 # -- inner products and norms ---------------------------------------------
 
+def _total(terms: Iterable[float], what: str) -> float:
+    """The sum of terms from 0.0, left to right; DomainError naming what if a
+    term overflows or the total is NaN or inf.  Not sum(): from Python 3.12
+    on it compensates floats, so its bits would depend on the interpreter."""
+    out = 0.0
+    try:
+        for t in terms:
+            out += t
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"{what} is not finite (NaN or overflow to inf)")
+    return out
+
+
 def inner_product(F: ChaosVector, G: ChaosVector) -> float:
     """<F, G> = E[FG] = sum_alpha alpha! c_alpha d_alpha."""
-    if F.dim != G.dim:
-        raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
+    _common(F, G)
     small, big = (F, G) if F.n_terms() <= G.n_terms() else (G, F)
-    out = 0.0
-    for a, c in small._terms.items():
-        d = big._terms.get(a)
-        if d is not None:
-            out += a.weighted(c, d)
-    return out
+    return _total((a.weighted(c, d) for a, c in small._terms.items()
+                   if (d := big._terms.get(a)) is not None), "inner product")
 
 
 def l2_norm(F: ChaosVector) -> float:
@@ -484,15 +506,17 @@ def gamma_norm(F: ChaosVector, r: float) -> float:
     """|F|_(r) = |Gamma(r) F|_2 = sqrt(sum alpha! r^(2 deg) c^2)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    return math.sqrt(sum(a.weighted(r ** (2 * a.degree), c, c)
-                         for a, c in F._terms.items()))
+    return math.sqrt(_total((a.weighted(float(r) ** (2 * a.degree), c, c)
+                             for a, c in F._terms.items()), "Gamma norm"))
 
 
 def second_quantization(F: ChaosVector, a: float) -> ChaosVector:
-    """Gamma(a): scale the degree-n component by a^n."""
-    return ChaosVector._trusted(F.dim, F.max_order,
-                                {al: float(c * a ** al.degree) for al, c in F._terms.items()},
-                                F.prune)
+    """Gamma(a): scale the degree-n component by a^n (DomainError on overflow)."""
+    try:
+        terms = {al: float(c * float(a) ** al.degree) for al, c in F._terms.items()}
+    except OverflowError:
+        raise DomainError(f"Gamma({a}) overflows a coefficient") from None
+    return ChaosVector._trusted(F.dim, F.max_order, terms, F.prune)
 
 
 def expectation(F: ChaosVector) -> float:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .chaos import (ChaosVector, add, inner_product, ordinary_product, scale,
+from .chaos import (ChaosVector, _common, _total, add, inner_product, ordinary_product, scale,
                     wick_product)
 from .errors import DimensionMismatchError
 from .multiindex import MultiIndex
@@ -72,11 +72,8 @@ def directional_derivative(F: ChaosVector, g: Sequence[float]) -> ChaosVector:
     """D_g F = sum_j g_j D_j F for a deterministic direction g in H."""
     if len(g) != F.dim:
         raise DimensionMismatchError(f"direction length {len(g)} != dim {F.dim}")
-    out = ChaosVector.zero(F.dim, F.max_order)
-    for j, gj in enumerate(g):
-        if gj != 0.0:
-            out = add(out, scale(derivative_dir(F, j), float(gj)))
-    return out
+    return add(ChaosVector.zero(F.dim, F.max_order),
+               *(scale(derivative_dir(F, j), float(gj)) for j, gj in enumerate(g) if gj != 0.0))
 
 
 def _levels(F: ChaosVector, p_max: int) -> Iterator[dict[tuple[int, ...], ChaosVector]]:
@@ -106,12 +103,9 @@ def divergence(u: HValuedChaos) -> ChaosVector:
     """delta(u) = sum_j u_j <> e~_j, the adjoint of D."""
     dim = u.dim
     order = max(c.max_order for c in u.components)
-    out = ChaosVector.zero(dim, order)
-    for j, uj in enumerate(u.components):
-        if uj.n_terms():
-            ej = ChaosVector.coordinate(j, dim, order)
-            out = add(out, wick_product(uj.with_max_order(order), ej))
-    return out
+    return add(ChaosVector.zero(dim, order),
+               *(wick_product(uj.with_max_order(order), ChaosVector.coordinate(j, dim, order))
+                 for j, uj in enumerate(u.components) if uj.n_terms()))
 
 
 def ou_apply(F: ChaosVector) -> ChaosVector:
@@ -126,28 +120,21 @@ def sobolev_norm(F: ChaosVector, k: int) -> float:
     |D^i F|^2 sums over ordered direction i-tuples; grouping by sorted
     representative t contributes the multiplicity i!/t!.
     """
-    total = 0.0
-    for level in _levels(F, k):
-        for t, DtF in level.items():
-            total += MultiIndex.from_indices(t).ordered_count() * inner_product(DtF, DtF)
-    return math.sqrt(total)
+    return math.sqrt(_total((MultiIndex.from_indices(t).ordered_count() * inner_product(DtF, DtF)
+                             for level in _levels(F, k) for t, DtF in level.items()),
+                            "Sobolev norm"))
 
 
 def _derivative_pairing(F: ChaosVector, G: ChaosVector, product,
                         sign: float) -> ChaosVector:
     """sum_p sign^p / p! sum_{|t|=p} (p!/t!) product(D_t F, D_t G)."""
-    if F.dim != G.dim:
-        raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
-    order = max(F.max_order, G.max_order)
-    out = ChaosVector.zero(F.dim, order)
+    order = _common(F, G)[1]
     p_max = min(F.degree(), G.degree())
-    for p, (DF, DG) in enumerate(zip(_levels(F, p_max), _levels(G, p_max))):
-        for t, DtF in DF.items():
-            if t in DG:
-                w = sign ** p / MultiIndex.from_indices(t).factorial()
-                prod = product(DtF.with_max_order(order), DG[t].with_max_order(order))
-                out = add(out, scale(prod, w))
-    return out
+    return add(ChaosVector.zero(F.dim, order),
+               *(scale(product(DtF.with_max_order(order), DG[t].with_max_order(order)),
+                       sign ** p / MultiIndex.from_indices(t).factorial())
+                 for p, (DF, DG) in enumerate(zip(_levels(F, p_max), _levels(G, p_max)))
+                 for t, DtF in DF.items() if t in DG))
 
 
 def wick_via_malliavin(F: ChaosVector, G: ChaosVector) -> ChaosVector:

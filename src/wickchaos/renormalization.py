@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chaos import (ChaosVector, SymTensor, _contract, _coordinatewise, _plan, _Store,
+from .chaos import (ChaosVector, SymTensor, _contract, _coordinatewise, _plan, _Store, _total,
                     add, coeff_distance, from_tensor, scale, wick_exp, wick_power, wick_product)
 from .errors import DimensionMismatchError, DivergenceError, DomainError
 from .hermite import hermite_to_power, power_to_hermite
@@ -112,14 +112,14 @@ def wick_order_poly(p: PolySeries,
 
     Each monomial prod X_i^{n_i} maps to prod sigma_i^{n_i} H_{n_i}(e~_i),
     one Hermite term per monomial; the map is a linear bijection.
+    Raises DomainError when a weight overflows.
     """
     sig = _sigmas(p.dim, variances)
-    terms: dict[MultiIndex, float] = {}
-    for alpha, c in p._terms.items():
-        w = c
-        for i, m in alpha.entries:
-            w *= sig[i] ** m
-        terms[alpha] = w
+    try:
+        terms = {alpha: math.prod((sig[i] ** m for i, m in alpha.entries), start=c)
+                 for alpha, c in p._terms.items()}
+    except OverflowError:
+        raise DomainError("a Wick-ordered coefficient overflows") from None
     return ChaosVector._trusted(p.dim, p.truncation, terms, 0.0)
 
 
@@ -136,8 +136,8 @@ def chaos_to_poly(F: ChaosVector) -> PolySeries:
 # -- independent-copy representation ----------------------------------------
 
 
-def _icopy_moment_poly(n: int, sigma: float) -> list[float]:
-    """Coefficients of E[(x + iY)^n], Y ~ N(0, sigma^2), as powers of x.
+def _icopy_moment(n: int, sigma: float, x: float) -> float:
+    """E[(x + iY)^n], Y ~ N(0, sigma^2), by Horner in x.
 
     The moment is sigma^n H_n(x / sigma): coeffs[j], multiplying x^j, is
     H_n's monomial coefficient scaled by sigma^(n-j), real with
@@ -146,7 +146,10 @@ def _icopy_moment_poly(n: int, sigma: float) -> list[float]:
     coeffs = [0.0] * (n + 1)
     for j, h in hermite_to_power(n).items():
         coeffs[j] = h * sigma ** (n - j)
-    return coeffs
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def wick_order_icopy_exact(p: PolySeries, variances: Sequence[float] | None,
@@ -154,23 +157,14 @@ def wick_order_icopy_exact(p: PolySeries, variances: Sequence[float] | None,
     """:p(X):(x) = E[p(x + iY)] with the Y-expectation done in closed form.
 
     Real arithmetic throughout: odd powers of iY average to zero and even
-    powers contribute (-1)^{k/2} (k-1)!! sigma^k.
+    powers contribute (-1)^{k/2} (k-1)!! sigma^k.  Raises DomainError when
+    the value is not finite.
     """
     sig = _sigmas(p.dim, variances)
     if len(point) != p.dim:
         raise DimensionMismatchError(f"point length {len(point)} != dim {p.dim}")
-    total = 0.0
-    for alpha, c in p._terms.items():
-        term = c
-        for i, m in alpha.entries:
-            coeffs = _icopy_moment_poly(m, sig[i])
-            x = float(point[i])
-            acc = 0.0
-            for j in range(m, -1, -1):
-                acc = acc * x + coeffs[j]
-            term *= acc
-        total += term
-    return total
+    return _total((math.prod((_icopy_moment(m, sig[i], float(point[i])) for i, m in alpha.entries),
+                             start=c) for alpha, c in p._terms.items()), ":p(X):(x)")
 
 
 def _powers(z: np.ndarray, top: int, out: np.ndarray) -> None:
@@ -208,13 +202,12 @@ def series_condition(p: PolySeries,
     """sum_alpha alpha! a_alpha^2 prod_i v_i^{alpha_i}.
 
     Equals l2_norm(wick_order_poly(p, v))^2 exactly; finiteness of this sum
-    is the convergence criterion for renormalizing a power series.
+    is the convergence criterion for renormalizing a power series, and a
+    sum that overflows raises DomainError.
     """
     sig = _sigmas(p.dim, variances)
-    total = 0.0
-    for alpha, a in p._terms.items():
-        total += alpha.weighted(a, a, *(sig[i] ** (2 * m) for i, m in alpha.entries))
-    return total
+    return _total((alpha.weighted(a, a, *(sig[i] ** (2 * m) for i, m in alpha.entries))
+                   for alpha, a in p._terms.items()), "series condition")
 
 
 def renorm_product_check(p: PolySeries, q: PolySeries,

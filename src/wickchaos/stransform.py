@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosVector, _coordinatewise, evaluate
-from .errors import DimensionMismatchError, DomainError
+from .chaos import ChaosVector, _coordinatewise, _total, evaluate
+from .errors import DimensionMismatchError
 from .hermite import hermite_shift
 from .montecarlo import Estimate, mean_estimate
 
@@ -31,22 +31,14 @@ from .montecarlo import Estimate, mean_estimate
 def s_transform(F: ChaosVector, xi: Sequence[float]) -> float:
     """Evaluate S(F) at the point xi of H = R^d (a PolySeries at the point xi).
 
-    Raises DomainError if the sum, or a power on the way, overflows or is NaN.
+    xi is read as Python floats.  Raises DomainError if the sum, or a power
+    on the way, overflows or is NaN.
     """
     if len(xi) != F.dim:
         raise DimensionMismatchError(f"xi length {len(xi)} != dim {F.dim}")
-    out = 0.0
-    try:
-        for alpha, c in F.items():
-            term = c
-            for i, m in alpha.entries:
-                term *= xi[i] ** m
-            out += term
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise DomainError("S-transform is not finite (NaN or overflow to inf)")
-    return out
+    xi = [float(v) for v in xi]
+    return _total((math.prod((xi[i] ** m for i, m in alpha.entries), start=c)
+                   for alpha, c in F.items()), "S-transform")
 
 
 def s_transform_mc(F: ChaosVector, xi: Sequence[float], n: int, seed: int,

@@ -8,10 +8,14 @@ product sum S_n(f) = sum_{i_1..i_n} f[i_1..i_n] e~_{i_1} ... e~_{i_n}
 
 with the inverse carrying alternating signs.  The weight is hermite's
 pairing count, re-exported here.  Tr contracts one pair of slots against
-the identity of R^d.
+the identity of R^d.  A call builds the trace chain f, Tr f, ..., Tr^{n//2} f
+once, and the inverse reads the chain of Tr^k f as its tail from k.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import accumulate
 
 from .chaos import ChaosVector, SymTensor, add, from_tensor, ordinary_product, scale
 from .hermite import hu_meyer_coeff
@@ -37,39 +41,43 @@ def trace(f: SymTensor) -> SymTensor:
     return SymTensor._trusted(f.dim, f.order - 2, vals, 0.0)
 
 
+def _traces(f: SymTensor, k: int) -> list[SymTensor]:
+    """The trace chain f, Tr f, ..., Tr^k f, one trace per link."""
+    return list(accumulate(range(k), lambda g, _: trace(g), initial=f))
+
+
 def trace_k(f: SymTensor, k: int) -> SymTensor:
     """Tr^k f, k repeated diagonal contractions."""
     if k < 0 or 2 * k > f.order:
         raise ValueError(f"need 0 <= 2k <= order, got k={k}, order={f.order}")
-    out = f
-    for _ in range(k):
-        out = trace(out)
-    return out
+    return _traces(f, k)[-1]
+
+
+def _stratonovich(chain: list[SymTensor]) -> ChaosVector:
+    """S_n(f) from the trace chain of f = chain[0], of length n // 2 + 1."""
+    n = chain[0].order
+    return add(ChaosVector.zero(chain[0].dim, n),
+               *(scale(from_tensor(g, max_order=n), hu_meyer_coeff(n, k))
+                 for k, g in enumerate(chain)))
 
 
 def stratonovich_integral(f: SymTensor) -> ChaosVector:
     """S_n(f) as a chaos expansion, assembled from the trace formula."""
-    n = f.order
-    out = ChaosVector.zero(f.dim, n)
-    for k in range(n // 2 + 1):
-        g = trace_k(f, k)
-        out = add(out, scale(from_tensor(g, max_order=n), hu_meyer_coeff(n, k)))
-    return out
+    return _stratonovich(_traces(f, f.order // 2))
 
 
 def ito_from_stratonovich(f: SymTensor) -> ChaosVector:
     """I_n(f) rebuilt from Stratonovich integrals of traced tensors.
 
     I_n(f) = sum_k (-1)^k hu_meyer_coeff(n, k) S_{n-2k}(Tr^k f); composing
-    with the forward formula must return from_tensor(f).
+    with the forward formula must return from_tensor(f).  The chain of
+    Tr^k f is the tail from k of the chain of f.
     """
     n = f.order
-    out = ChaosVector.zero(f.dim, n)
-    for k in range(n // 2 + 1):
-        g = trace_k(f, k)
-        sign = -1.0 if k % 2 else 1.0
-        out = add(out, scale(stratonovich_integral(g), sign * hu_meyer_coeff(n, k)))
-    return out
+    chain = _traces(f, n // 2)
+    return add(ChaosVector.zero(f.dim, n),
+               *(scale(_stratonovich(chain[k:]), (-1.0 if k % 2 else 1.0) * hu_meyer_coeff(n, k))
+                 for k in range(n // 2 + 1)))
 
 
 def stratonovich_partial_sum(f: SymTensor, n_basis: int) -> ChaosVector:
@@ -86,12 +94,8 @@ def stratonovich_partial_sum(f: SymTensor, n_basis: int) -> ChaosVector:
         raise ValueError(f"need 0 <= n_basis <= dim, got {n_basis}")
     n = f.order
     dim = f.dim
-    out = ChaosVector.zero(dim, n)
-    for alpha, v in f.items():
-        if alpha.max_index() >= n_basis:
-            continue
-        prod = ChaosVector.constant(1.0, dim, n)
-        for j in alpha.to_indices():
-            prod = ordinary_product(prod, ChaosVector.coordinate(j, dim, n))
-        out = add(out, scale(prod, alpha.ordered_count() * v))
-    return out
+    return add(ChaosVector.zero(dim, n),
+               *(scale(reduce(ordinary_product,
+                              (ChaosVector.coordinate(j, dim, n) for j in alpha.to_indices()),
+                              ChaosVector.constant(1.0, dim, n)), alpha.ordered_count() * v)
+                 for alpha, v in f.items() if alpha.max_index() < n_basis))

@@ -63,13 +63,9 @@ def contraction_1(f: SymTensor, g: SymTensor) -> SymTensor:
         raise ValueError("contraction needs orders >= 1")
     cap = max(n, m, n + m - 2)
     F, G = from_tensor(f, cap), from_tensor(g, cap)
-    out = ChaosVector.zero(f.dim, cap)
-    for k in range(f.dim):
-        DF = derivative_dir(F, k)
-        if DF.n_terms():
-            DG = derivative_dir(G, k)
-            if DG.n_terms():
-                out = add(out, wick_product(DF, DG))
+    out = add(ChaosVector.zero(f.dim, cap),
+              *(wick_product(DF, DG) for k in range(f.dim)
+                if (DF := derivative_dir(F, k)).n_terms() and (DG := derivative_dir(G, k)).n_terms()))
     return to_tensor(out, n + m - 2).scale(1.0 / (n * m))
 
 

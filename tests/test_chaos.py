@@ -1,6 +1,7 @@
 """Chaos expansions: algebra, products, isometry, evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,11 @@ def test_constructor_validation():
     tiny = {MultiIndex([(0, 1)]): 1e-20}
     assert ChaosVector(1, 1, tiny).n_terms() == 0
     assert ChaosVector(1, 1, tiny, prune=0.0).n_terms() == 1
+
+
+def test_constructor_rejects_a_label_that_is_not_a_multiindex():
+    with pytest.raises(TypeError, match="tuple"):
+        ChaosVector(2, 4, {((0, 2),): 1.0})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -388,6 +394,26 @@ def test_gamma_norm_and_second_quantization():
         for alpha, c in F.items():
             assert abs(G.coeff(alpha) - c * r ** alpha.degree) < 1e-12
     assert coeff_distance(second_quantization(F, 1.0), F) == 0.0
+
+
+def test_norms_and_gamma_overflow_raise_domain_error():
+    big = ChaosVector(1, 4, {MultiIndex([(0, 1)]): 1e200})
+    h2 = ChaosVector(1, 2, {MultiIndex([(0, 2)]): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: inner_product(big, big), lambda: l2_norm(big),
+                     lambda: gamma_norm(h2, 1e200), lambda: gamma_norm(h2, np.float64(1e200)),
+                     lambda: second_quantization(h2, 1e200),
+                     lambda: second_quantization(h2, np.float64(1e200))):
+            with pytest.raises(DomainError):
+                call()
+        # finite results keep their bits, and a numpy-scalar a stores floats
+        F = random_chaos(np.random.default_rng(3), 2, 4)
+        for a in (0.7, -1.3, 3.0):
+            G, Gn = second_quantization(F, a), second_quantization(F, np.float64(a))
+            assert list(G.items()) == [(al, float(c * a ** al.degree)) for al, c in F.items()]
+            assert list(Gn.items()) == list(G.items())
+            assert all(type(c) is float for _, c in Gn.items())
 
 
 def test_evaluate_matches_reference():

@@ -18,6 +18,7 @@ from wickchaos.malliavin import (HValuedChaos, derivative_dir,
                                  higher_derivative, ou_apply,
                                  product_via_wick_gradients, sobolev_norm,
                                  wick_via_malliavin, wick_with_gaussian)
+from wickchaos.errors import DomainError
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.tensors import basis_tensor, contract_vector, contraction_1
 
@@ -159,6 +160,13 @@ def test_sobolev_norm():
     assert abs(sobolev_norm(G, 1) - math.sqrt(6.0)) < 1e-12
     with pytest.raises(ValueError):
         sobolev_norm(F, -1)
+
+
+def test_sobolev_norm_overflow_raises_domain_error():
+    big = ChaosVector(1, 4, {MultiIndex([(0, 1)]): 1e200})
+    for k in (0, 1):
+        with pytest.raises(DomainError):
+            sobolev_norm(big, k)
 
 
 def test_wick_via_malliavin_matches_convolution():

@@ -222,6 +222,20 @@ def test_series_condition_is_squared_norm():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+def test_overflow_raises_domain_error():
+    x4 = PolySeries(1, {MultiIndex([(0, 4)]): 1.0}, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: wick_order_icopy_exact(x4, [1.0], [1e200]),
+                     lambda: series_condition(x4, [1e200]),
+                     lambda: wick_order_poly(x4, [1e200])):
+            with pytest.raises(DomainError):
+                call()
+        # finite results keep their bits
+        assert wick_order_poly(x4, [3.0]).coeff(MultiIndex([(0, 4)])) == math.sqrt(3.0) ** 4
+        assert series_condition(x4, [3.0]) == 24.0 * math.sqrt(3.0) ** 8
+
+
 def test_renorm_product_law():
     rng = np.random.default_rng(4)
     for _ in range(30):

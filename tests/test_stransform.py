@@ -1,6 +1,7 @@
 """S-transform and translation operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,29 @@ def test_s_transform_non_finite_raises():
     # finite values near the edge are returned unchanged
     assert s_transform(ChaosVector(1, 2, {x2: 1e300}), [1e4]) == 1e300 * 1e4 ** 2
     assert s_transform(inf_minus_inf, [1.0, 1.0]) == 0.0
+
+
+def test_s_transform_reads_numpy_points_as_floats():
+    x2 = MultiIndex([(0, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.float64 ** m would warn, not raise
+        with pytest.raises(DomainError):
+            s_transform(ChaosVector(1, 2, {x2: 1.0}), np.array([1e200]))
+        with pytest.raises(DomainError):
+            poly_eval(PolySeries(1, {x2: 1.0}, 2), np.array([1e200]))
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            F = random_chaos(rng, 3, 4)
+            xi = rng.normal(size=3) * 10.0
+            want = 0.0  # the earlier loop, on numpy scalars
+            for alpha, c in F.items():
+                term = c
+                for i, m in alpha.entries:
+                    term *= xi[i] ** m
+                want += term
+            got = s_transform(F, xi)
+            assert type(got) is float and got.hex() == float(want).hex()
+            assert poly_eval(PolySeries(3, dict(F.items()), 4), xi).hex() == got.hex()
 
 
 def test_s_transform_linear():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wickchaos import stratonovich
 from wickchaos.chaos import (ChaosVector, add, coeff_distance, evaluate_at,
                              from_tensor, ordinary_product, scale)
 from wickchaos.renormalization import chaos_to_poly, wick_order_poly
@@ -76,6 +77,23 @@ def test_trace_k():
         trace_k(f, 3)
     with pytest.raises(ValueError):
         trace_k(f, -1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 6, 7, 8])
+def test_one_trace_chain_per_call(monkeypatch, order):
+    calls = []
+    real = stratonovich.trace
+
+    def spy(f):
+        calls.append(f.order)
+        return real(f)
+
+    monkeypatch.setattr(stratonovich, "trace", spy)
+    f = random_sym(np.random.default_rng(order), 2, order)
+    for fn in (stratonovich_integral, ito_from_stratonovich):
+        calls.clear()
+        fn(f)
+        assert calls == list(range(order, 1, -2))  # n // 2 traces
 
 
 def test_stratonovich_known_cases():

@@ -172,6 +172,18 @@ def test_independence_criterion():
             assert not independent(a, a)
 
 
+def test_norm_and_independence_overflow_raise_domain_error():
+    # the two integrals share e~_0; unchecked, the test read inf <= inf and
+    # called them independent
+    f = SymTensor(2, 2, {(0, 1): 1e200})
+    g = SymTensor(2, 1, {(0,): 1.0})
+    with pytest.raises(DomainError):
+        f.norm()
+    with pytest.raises(DomainError):
+        independent(f, g)
+    assert not independent(f.scale(1e-50), g)
+
+
 # -- generated tensors against the dense oracles ------------------------------------
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
