@@ -51,15 +51,18 @@ terms, and stable sorts keep F's rows in term order within a group and
 G's, lowered from terms sorted by (degree, code), in (degree, code)
 order.  The integer weights stay exact: up to K = 20 they are at most
 20! < 2^63 and fit int64, and above they are Python ints, as in the dict
-loop.  One kernel, _convolve_dense, takes the arrays:
-np.repeat and gathers build the pairs in the dict loop's visiting order,
-_CHUNK pairs at a time so that memory does not grow with the pair count;
-np.add.at sums them into a dense array over the range, and np.minimum.at
-records each code's first visit.  ufunc.at is unbuffered and runs in
-index order, so every code's sum adds the same products in the same order
-as the dict loop, and the terms come out in first-visit order: both
-routes, at any chunk size, give the same bits in the same term order.
-The kernel returns the arrays (codes, sums), which _decoded reads.
+loop.  One kernel, _convolve_dense, takes the arrays: a running sum of
+the row starts and gathers build the pairs in the dict loop's visiting
+order, _CHUNK pairs at a time so that memory does not grow with the pair
+count, in work arrays each thread keeps: with fresh ones per call, the C
+allocator trimmed and re-faulted its heap on every call in some memory
+layouts, and the same product ran 20-30% slower.  np.add.at sums the
+pairs into a dense array over the range, and np.minimum.at records each
+code's first visit.  ufunc.at is unbuffered and runs in index order, so
+every code's sum adds the same products in the same order as the dict
+loop, and the terms come out in first-visit order: both routes, at any
+chunk size, give the same bits in the same term order.  The kernel
+returns the arrays (codes, sums), which _decoded reads.
 
 Labels go through codecs.  A codec holds the two maps label -> code and
 code -> label of one key (K+1, i_0, i_1, ...).  A code is a pure function
@@ -529,7 +532,8 @@ def expectation(F: ChaosVector) -> float:
 _CROSSOVER = 640  # pairs: numpy's ~45 us per call matches the dict loop at 500-750 pairs
 _CELLS_PER_PAIR = 16  # a dense cell costs 1-4 ns, a dict pair ~80 ns more than a numpy one
 _CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
-_CHUNK = 1 << 15  # pairs per numpy chunk: ~2.5 MiB of pair arrays; 2^14-2^18 time alike
+_CHUNK = 1 << 15  # pairs per numpy chunk: 1.75 MiB of pair buffers; 2^14-2^18 time alike
+_KEPT_CELLS = 1 << 16  # dense codes whose arrays a thread keeps between calls: 1 MiB
 _CODEC_LABELS = 1 << 16  # labels and codecs held at most before all codecs are dropped
 _INT64_BASE = 21  # largest base whose integer weights fit int64: 20! < 2^63 < 21!
 _UNSEEN = np.iinfo(np.int64).max  # the first visit of a code no pair has visited
@@ -633,47 +637,71 @@ def _convolve(groups, order: int) -> dict[int, float]:
     return out
 
 
-def _cells(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """_convolve_dense's dense arrays over cells codes: zeroed sums and
-    first visits marked unvisited."""
-    return np.zeros(cells), np.full(cells, _UNSEEN, np.int64)
+_kept = threading.local()  # per thread: the work arrays its last _convolve_dense call left
+
+
+def _work(cells: int, pairs: int) -> tuple[np.ndarray, ...]:
+    """This thread's arrays for _convolve_dense, taken from it while in use
+    so that a call that raises drops them, and made larger when too small:
+    sums and first visits over the codes, zeroed and unvisited between
+    calls, and per pair of a chunk the ints (step 0, 1, ..., row, pair t,
+    term met j, code) and the vals (product, factor)."""
+    work = _kept.__dict__.pop("work", None)
+    if work is None or len(work[0]) < cells or work[2].shape[1] < pairs:
+        if work is not None:
+            cells, pairs = max(cells, len(work[0])), max(pairs, work[2].shape[1])
+        work = (np.zeros(cells), np.full(cells, _UNSEEN, np.int64),
+                np.empty((5, pairs), np.int64), np.empty((2, pairs)))
+        work[2][0] = np.arange(pairs)
+    return work
 
 
 def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: np.ndarray,
                     gcode: np.ndarray, gval: np.ndarray,
-                    cells: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                    cells: int) -> tuple[np.ndarray, np.ndarray]:
     """The dict loop on numpy, _CHUNK pairs at a time.  Row r, of code
     fcode[r] and value fval[r], meets the n[r] terms of (gcode, gval) from
-    first[r] on, rows in order; every code is below the size of cells, the
-    arrays (sums, first visits) of _cells, which are left as found.
-    Returns the arrays (codes, sums) in first-visit order.
+    first[r] on, rows in order; every code is below cells.  Returns the
+    arrays (codes, sums) in first-visit order.
 
     Pair t belongs to row r when starts[r] <= t < ends[r] and meets term
     t + shift[r].  Sums and first visits go to the dense arrays indexed by
     code; ufunc.at is unbuffered and runs in index order, so each sum
-    associates as in the dict loop.
+    associates as in the dict loop.  Every array of the size of a chunk
+    or of the range is one of the thread's work arrays (_work).
     """
-    sums, seen = cells
     ends = np.cumsum(n)
     total = int(ends[-1]) if len(ends) else 0
     starts = ends - n
     shift = first - starts
+    work = _work(cells, min(total, _CHUNK))
+    sums, seen = work[0][:cells], work[1][:cells]
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         r0 = int(np.searchsorted(ends, lo, "right"))
         r1 = int(np.searchsorted(ends, hi - 1, "right")) + 1
-        rows = np.repeat(np.arange(r0, r1),
-                         np.minimum(ends[r0:r1], hi) - np.maximum(starts[r0:r1], lo))
-        t = np.arange(lo, hi)
-        j = t + shift[rows]
-        code = fcode[rows] + gcode[j]
+        step, row, t, j, code = work[2][:, :hi - lo]
+        val, factor = work[3][:, :hi - lo]
+        row.fill(0)  # r0 at pair lo and one at each later row's start, summed: each pair's row
+        row[0] = r0
+        np.add.at(row, starts[r0 + 1:r1] - lo, 1)
+        np.cumsum(row, out=row)
+        np.add(step, lo, out=t)
+        np.take(shift, row, out=j, mode="clip")
+        j += t
         with np.errstate(over="ignore", invalid="ignore"):  # as floats do: the store raises
-            np.add.at(sums, code, fval[rows] * gval[j])
+            np.take(fval, row, out=val, mode="clip")
+            val *= np.take(gval, j, out=factor, mode="clip")
+            np.take(fcode, row, out=code, mode="clip")
+            code += np.take(gcode, j, out=row, mode="clip")
+            np.add.at(sums, code, val)
         np.minimum.at(seen, code, t)
     codes = np.flatnonzero(seen != _UNSEEN)
     codes = codes[np.argsort(seen[codes])]
     out = sums[codes]
     sums[codes], seen[codes] = 0.0, _UNSEEN
+    if len(work[0]) <= _KEPT_CELLS:
+        _kept.work = work
     return codes, out
 
 
@@ -798,8 +826,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
     The route is picked before any array is built (see the module
     docstring).  On arrays, a term of code c and digit m at the place value
     w is a row of code c - m w that meets table m's entries (n w, w_n),
-    from its offset into the flattened tables on; the cell arrays serve
-    every coordinate.
+    from its offset into the flattened tables on.
     """
     base = F.max_order + 1
     codec = _codec(base, F)
@@ -807,7 +834,6 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
     if _dense(len(F._terms) * len(codec.coords), cells):
         n = len(F._terms)
         terms = np.array(_coded(F, codec), np.int64), np.fromiter(F._terms.values(), float, n)
-        work = _cells(cells)
         for i, w in codec.place.items():
             code, val = terms
             m = code // w % base
@@ -816,7 +842,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
             terms = _convolve_dense(code - m * w, val, sizes[m], (np.cumsum(sizes) - sizes)[m],
                                     np.fromiter(chain.from_iterable(table), np.int64) * w,
                                     np.array([h for t in table for h in t.values()], float),
-                                    work)
+                                    cells)
     else:
         terms = dict(zip(_coded(F, codec), F._terms.values()))
         for i, w in codec.place.items():
@@ -859,8 +885,7 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
         gdeg, gcode, gval = _arrays(G, codec, gd)
         by = np.argsort(gdeg * cells + gcode)  # by (degree, code); codes are distinct
         n = np.searchsorted(gdeg[by], order - fdeg, "right")
-        out = _convolve_dense(fcode, fval, n, np.zeros_like(n), gcode[by], gval[by],
-                              _cells(cells))
+        out = _convolve_dense(fcode, fval, n, np.zeros_like(n), gcode[by], gval[by], cells)
     else:
         fs = list(zip(fd, _coded(F, codec), F._terms.values()))
         out = _convolve([(fs, sorted(zip(gd, _coded(G, codec), G._terms.values())))], order)
@@ -896,7 +921,7 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
     codec = _codec(base, F, G)
     cells = base ** len(codec.coords)
     if _dense(F.n_terms() * G.n_terms(), cells):  # every pair meets at least at p = 0
-        out = _convolve_dense(*_contracted(F, G, codec, order, cells), _cells(cells))
+        out = _convolve_dense(*_contracted(F, G, codec, order, cells), cells)
     else:
         gs = _lowered_dict(G, codec, math.comb)
         out = _convolve([(fs, sorted(gs[p])) for p, fs in

@@ -12,8 +12,10 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,65 @@ def test_threads_share_the_codecs(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert chaos._held >= sum(len(c.label) for c in chaos._codecs.values())
+
+
+def dense_route(monkeypatch, chunk):
+    monkeypatch.setattr(chaos, "_CROSSOVER", 0)
+    monkeypatch.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+    monkeypatch.setattr(chaos, "_CHUNK", chunk)
+
+
+def test_dense_kernel_reuses_clean_work_arrays_per_thread(monkeypatch):
+    # each call hands the thread's work arrays back zeroed and unvisited, the
+    # next call reuses them, and another thread gets arrays of its own
+    F = exponential_vector([0.3, -0.2, 0.1], 6)
+    G = exponential_vector([-0.1, 0.25, 0.2], 6)
+    runs = [lambda: wick_product(F, G, clip=True), lambda: ordinary_product(F, G, clip=True),
+            lambda: translate(F, [0.25, -0.5, 0.1])]
+    want = {}
+    for chunk in (3, 1 << 15):
+        dense_route(monkeypatch, chunk)
+        for i, run in enumerate(runs):
+            got = bits(run())
+            assert want.setdefault(i, got) == got
+            work = chaos._kept.work
+            assert not work[0].any() and (work[1] == chaos._UNSEEN).all()
+            assert bits(run()) == got
+            assert chaos._kept.work is work
+    other = []
+    thread = threading.Thread(target=lambda: other.append((bits(runs[0]()), chaos._kept.work)))
+    thread.start()
+    thread.join()
+    assert other[0][0] == want[0] and other[0][1] is not chaos._kept.work
+
+
+def test_a_dense_call_that_raises_drops_its_work(monkeypatch):
+    # code 6 is past the range of 6 codes and stops np.add.at: the arrays
+    # it may have half filled must not reach the next call
+    dense_route(monkeypatch, 3)
+    E = exponential_vector([0.3, -0.2], 4)
+    want = bits(wick_product(E, E, clip=True))
+    with pytest.raises(IndexError):
+        chaos._convolve_dense(np.array([0, 5]), np.ones(2), np.array([2, 2]),
+                              np.zeros(2, np.int64), np.array([0, 1]), np.ones(2), 6)
+    assert getattr(chaos._kept, "work", None) is None
+    assert bits(wick_product(E, E, clip=True)) == want
+
+
+def test_a_warm_dense_product_allocates_nothing_per_pair():
+    # pair arrays made per call let the C allocator trim and re-fault its
+    # heap on every call in some memory layouts: a warm call at d=4, K=8
+    # allocates less than two arrays of its 12,870 pairs
+    F = exponential_vector([0.3, -0.2, 0.1, 0.25], 8)
+    G = exponential_vector([-0.1, 0.25, 0.2, -0.3], 8)
+    wick_product(F, G, clip=True)
+    tracemalloc.start()
+    try:
+        wick_product(F, G, clip=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 12870
 
 
 def test_codecs_are_made_on_first_use():
