@@ -78,11 +78,12 @@ removed from its codec, every write of it, by any thread, writes an equal
 value, and a thread whose codec is dropped keeps a complete one.  Every
 output label has degree <= K and uses only the operands' coordinates, so
 the kernels hand their output to a trusted store builder (_Store._trusted)
-that skips the label checks.  It keeps the NaN/inf check, made before the
-prune so that a NaN is never pruned away, and the prune.  Sums build
-through it too.  add(F, *Gs) sums any number of operands in one dict, to
-the bits and term order of the left fold of two-operand adds: a label
-falls under the running prune only when the latest operand touches it.
+that skips the label checks.  It keeps the NaN/inf check and drops
+exact zeros only, so no result depends on the scale of its data; only a
+constructor prunes, on request.  Sums build through it too.  add(F, *Gs)
+sums any number of operands in one dict, to the bits and term order of
+the left fold of two-operand adds: a label whose sum is exactly 0.0
+leaves, and re-enters at the end if a later operand touches it.
 Every scalar sum is one checked total, _total, which raises DomainError
 on a term that overflows or a NaN or inf total.
 
@@ -184,8 +185,6 @@ from .hermite import ORDER_LIMIT, hermite_rows
 from .multiindex import EMPTY, MultiIndex
 from .sampling import SampleBatch
 
-PRUNE_DEFAULT = 1e-14
-
 _EVAL_CELLS = 1 << 18  # buffer entries per evaluation block
 
 
@@ -194,8 +193,10 @@ class _Store:
 
     The one store behind ChaosVector, SymTensor and
     renormalization.PolySeries.  No stored degree may exceed max_order, no
-    basis index may reach dim, and a NaN or inf coefficient raises
-    DomainError; coefficients with |c| <= prune are dropped.
+    basis index may reach dim, a NaN or inf coefficient raises
+    DomainError, and no coefficient is 0.0.  Only the constructor prunes:
+    it drops |c| <= prune and records prune (finite, >= 0); a derived store
+    drops exact zeros and reads .prune == 0.0.
     """
 
     __slots__ = ("dim", "max_order", "prune", "_terms", "_plan")
@@ -203,11 +204,13 @@ class _Store:
 
     def __init__(self, dim: int, max_order: int,
                  terms: Mapping[MultiIndex, float] | None = None,
-                 prune: float = PRUNE_DEFAULT):
+                 prune: float = 0.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if max_order < 0:
             raise ValueError(f"{self._cap} must be >= 0")
+        if not 0.0 <= prune < math.inf:
+            raise ValueError(f"prune must be finite and >= 0, got {prune}")
         self.dim = dim
         self.max_order = max_order
         self.prune = prune
@@ -230,22 +233,21 @@ class _Store:
         self._plan = None  # evaluation plan, built by the first _contract
 
     @classmethod
-    def _trusted(cls, dim: int, max_order: int, terms: dict[MultiIndex, float],
-                 prune: float):
+    def _trusted(cls, dim: int, max_order: int, terms: dict[MultiIndex, float]):
         """The builder of every derived store: the kernels' output, sums,
         multiples, degree parts, Gamma(a) rescalings, Wick-ordered
         polynomials and the stores that tensors and JSON documents are read
         into.  terms, which the store takes over, holds floats at labels of
         degree <= max_order on coordinates < dim, so only finiteness is
-        checked, before the prune so that no NaN is pruned away."""
+        checked; exact zeros are dropped, nothing else."""
         values = terms.values()
         if not all(map(math.isfinite, values)):
             alpha, c = next((a, c) for a, c in terms.items() if not math.isfinite(c))
             raise DomainError(f"coefficient at {alpha} is {c}, not finite")
-        if terms and min(map(abs, values)) <= prune:
-            terms = {a: c for a, c in terms.items() if abs(c) > prune}
+        if not all(values):
+            terms = {a: c for a, c in terms.items() if c}
         out = cls.__new__(cls)
-        out.dim, out.max_order, out.prune = dim, max_order, prune
+        out.dim, out.max_order, out.prune = dim, max_order, 0.0
         out._terms = terms
         out._plan = None
         return out
@@ -287,10 +289,9 @@ class ChaosVector(_Store):
     dim : number of Gaussian coordinates.
     max_order : truncation cap; no stored degree may exceed it.
     terms : map MultiIndex -> coefficient.
-    prune : coefficients with |c| <= prune are dropped at construction and
-        the threshold propagates through arithmetic (series constructors
-        pass 0.0 because their meaningful coefficients go below any fixed
-        threshold while multiplying large Hermite values).
+    prune : coefficients with |c| <= prune are dropped here, and only
+        here: arithmetic keeps every term that is not exactly 0.0.  The
+        default 0.0 drops exact zeros only.
     """
 
     __slots__ = ()
@@ -312,7 +313,7 @@ class ChaosVector(_Store):
 
     @classmethod
     def linear(cls, coords: Sequence[float], max_order: int = 1,
-               prune: float = PRUNE_DEFAULT) -> "ChaosVector":
+               prune: float = 0.0) -> "ChaosVector":
         """g~ = sum_j g_j e~_j for g in H = R^d."""
         dim = len(coords)
         terms = {MultiIndex(((j, 1),)): float(g) for j, g in enumerate(coords) if g != 0.0}
@@ -322,11 +323,11 @@ class ChaosVector(_Store):
 
     def with_max_order(self, max_order: int) -> "ChaosVector":
         """Same terms under a different cap (must still fit)."""
-        return ChaosVector(self.dim, max_order, self._terms, prune=0.0)
+        return ChaosVector(self.dim, max_order, self._terms)
 
     def degree_part(self, n: int) -> "ChaosVector":
         return ChaosVector._trusted(self.dim, self.max_order,
-                                    {a: c for a, c in self._terms.items() if a.degree == n}, 0.0)
+                                    {a: c for a, c in self._terms.items() if a.degree == n})
 
     # -- operator sugar ------------------------------------------------
 
@@ -371,7 +372,7 @@ class SymTensor(_Store):
 
     def __init__(self, dim: int, order: int,
                  values: Mapping[tuple[int, ...], float] | None = None,
-                 prune: float = PRUNE_DEFAULT):
+                 prune: float = 0.0):
         terms: dict[MultiIndex, float] = {}
         for t, v in (values or {}).items():
             if len(t) != order:
@@ -409,7 +410,7 @@ class SymTensor(_Store):
     def scale(self, c: float) -> "SymTensor":
         c = float(c)
         return SymTensor._trusted(self.dim, self.order,
-                                  {a: c * v for a, v in self._terms.items()}, 0.0)
+                                  {a: c * v for a, v in self._terms.items()})
 
     def add(self, other: "SymTensor") -> "SymTensor":
         if self.order != other.order:
@@ -417,37 +418,36 @@ class SymTensor(_Store):
         return add(self, other)
 
 
-def _common(F: ChaosVector, G: ChaosVector) -> tuple[int, int, float]:
+def _common(F: ChaosVector, G: ChaosVector) -> tuple[int, int]:
     if F.dim != G.dim:
         raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
-    return F.dim, max(F.max_order, G.max_order), min(F.prune, G.prune)
+    return F.dim, max(F.max_order, G.max_order)
 
 
 # -- linear structure ----------------------------------------------------
 
 def add(F: ChaosVector, *Gs: ChaosVector) -> ChaosVector:
     """F + G_1 + G_2 + ..., of the type of F (see the module docstring): a
-    touched label under the running prune is dropped unless NaN or inf, and
-    re-enters at the end if touched again, as in the left fold."""
+    label whose sum is exactly 0.0 leaves, and re-enters at the end if a
+    later operand touches it, as in the left fold."""
     out = dict(F._terms)
-    order, prune = F.max_order, F.prune
+    order = F.max_order
     for G in Gs:
         if G.dim != F.dim:
             raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
-        order, prune = max(order, G.max_order), min(prune, G.prune)
+        order = max(order, G.max_order)
         for a, c in G._terms.items():
-            if abs(v := out.get(a, 0.0) + c) <= prune and math.isfinite(v):
-                out.pop(a, None)
-            else:
+            if v := out.get(a, 0.0) + c:
                 out[a] = v
-    return type(F)._trusted(F.dim, order, out, prune)
+            else:
+                out.pop(a, None)
+    return type(F)._trusted(F.dim, order, out)
 
 
 def scale(F: ChaosVector, c: float) -> ChaosVector:
     """c F, of the type of F."""
     c = float(c)
-    return type(F)._trusted(F.dim, F.max_order, {a: c * v for a, v in F._terms.items()},
-                            F.prune)
+    return type(F)._trusted(F.dim, F.max_order, {a: c * v for a, v in F._terms.items()})
 
 
 # -- tensor conversion ----------------------------------------------------
@@ -465,7 +465,7 @@ def from_tensor(f: SymTensor, max_order: int | None = None) -> ChaosVector:
     if n > cap:
         raise OrderOverflowError(f"tensor order {n} exceeds max_order {cap}")
     return ChaosVector._trusted(f.dim, cap,
-                                {a: a.ordered_count() * v for a, v in f._terms.items()}, 0.0)
+                                {a: a.ordered_count() * v for a, v in f._terms.items()})
 
 
 def to_tensor(F: ChaosVector, n: int) -> SymTensor:
@@ -473,7 +473,7 @@ def to_tensor(F: ChaosVector, n: int) -> SymTensor:
     if n < 0:
         raise ValueError("order must be >= 0")
     return SymTensor._trusted(F.dim, n, {a: c / a.ordered_count() for a, c in F._terms.items()
-                                         if a.degree == n}, 0.0)
+                                         if a.degree == n})
 
 
 # -- inner products and norms ---------------------------------------------
@@ -519,7 +519,7 @@ def second_quantization(F: ChaosVector, a: float) -> ChaosVector:
         terms = {al: float(c * float(a) ** al.degree) for al, c in F._terms.items()}
     except OverflowError:
         raise DomainError(f"Gamma({a}) overflows a coefficient") from None
-    return ChaosVector._trusted(F.dim, F.max_order, terms, F.prune)
+    return ChaosVector._trusted(F.dim, F.max_order, terms)
 
 
 def expectation(F: ChaosVector) -> float:
@@ -788,7 +788,7 @@ def _lowered_dict(F: ChaosVector, codec: _Codec, weight) -> dict[int, list]:
 
 
 def _decoded(out: dict[int, float] | tuple[np.ndarray, np.ndarray], codec: _Codec, dim: int,
-             order: int, prune: float, cls: type[_Store]) -> _Store:
+             order: int, cls: type[_Store]) -> _Store:
     """The store of {code: c}, or of the arrays (codes, sums) of
     _convolve_dense, every code below base^len(coords) and of digit sum <=
     order: a code the codec knows reads its label, any other is decoded by
@@ -810,10 +810,10 @@ def _decoded(out: dict[int, float] | tuple[np.ndarray, np.ndarray], codec: _Code
                 k += 1
             labels.append(MultiIndex._canonical(tuple(entries), degree))
         codec.learn(labels, new)
-    return cls._trusted(dim, order, dict(zip(map(label.__getitem__, codes), values)), prune)
+    return cls._trusted(dim, order, dict(zip(map(label.__getitem__, codes), values)))
 
 
-def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Store:
+def _coordinatewise(F: _Store, tables, cls: type[_Store]) -> _Store:
     """Apply a 1-D expansion to every coordinate F uses, one at a time.
 
     tables(i, m) is the expansion {n: w} of coordinate i's label m, and
@@ -855,7 +855,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store], prune: float) -> _Stor
                     k = code - (m - n) * w
                     out[k] = get(k, 0.0) + c * h
             terms = out
-    return _decoded(terms, codec, F.dim, F.max_order, prune, cls)
+    return _decoded(terms, codec, F.dim, F.max_order, cls)
 
 
 def _check_fits(F: ChaosVector, G: ChaosVector, order: int, what: str) -> None:
@@ -873,7 +873,7 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
     type of F: on PolySeries the same convolution multiplies monomials
     (renormalization.poly_mul).
     """
-    dim, order, prune = _common(F, G)
+    dim, order = _common(F, G)
     if not clip:
         _check_fits(F, G, order, "Wick")
     base = order + 1
@@ -889,7 +889,7 @@ def wick_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> ChaosVec
     else:
         fs = list(zip(fd, _coded(F, codec), F._terms.values()))
         out = _convolve([(fs, sorted(zip(gd, _coded(G, codec), G._terms.values())))], order)
-    return _decoded(out, codec, dim, order, prune, type(F))
+    return _decoded(out, codec, dim, order, type(F))
 
 
 def _wick_pairs(fd: list[int], gd: list[int], order: int) -> int:
@@ -914,7 +914,7 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
     convolution of F and G lowered by p, with weights p! C(alpha,p) on F's
     side and C(beta,p) on G's.
     """
-    dim, order, prune = _common(F, G)
+    dim, order = _common(F, G)
     if not clip:
         _check_fits(F, G, order, "product")
     base = order + 1
@@ -926,7 +926,7 @@ def ordinary_product(F: ChaosVector, G: ChaosVector, clip: bool = False) -> Chao
         gs = _lowered_dict(G, codec, math.comb)
         out = _convolve([(fs, sorted(gs[p])) for p, fs in
                          _lowered_dict(F, codec, math.perm).items() if p in gs], order)
-    return _decoded(out, codec, dim, order, prune, ChaosVector)
+    return _decoded(out, codec, dim, order, ChaosVector)
 
 
 def _contracted(F: ChaosVector, G: ChaosVector, codec: _Codec, order: int,
@@ -989,12 +989,12 @@ def wick_power(F: ChaosVector, k: int, clip: bool = False) -> ChaosVector:
 
 def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
     """exp<>(F) projected onto degrees <= max_order by the recursion in the
-    module docstring, with F's type and prune threshold; F's parts above
-    max_order are dropped first.  DomainError if exp(E F) overflows."""
+    module docstring, with F's type; F's parts above max_order are dropped
+    first.  DomainError if exp(E F) overflows."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     low = type(F)._trusted(F.dim, max_order, {a: c for a, c in F._terms.items()
-                                              if 0 < a.degree <= max_order}, 0.0)
+                                              if 0 < a.degree <= max_order})
     try:
         g0 = math.exp(expectation(F))
     except OverflowError:
@@ -1015,17 +1015,18 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
                 out = _convolve(groups, n).items()
             G[n] = [(n, k, s / n) for k, s in out]
     out = {k: s for Gn in G.values() for _, k, s in Gn}
-    return _decoded(out, codec, F.dim, max_order, F.prune, type(F))
+    return _decoded(out, codec, F.dim, max_order, type(F))
 
 
 def exponential_vector(f: Sequence[float], max_order: int) -> ChaosVector:
     """Truncation of eps(f) = exp<>(f~) = sum_n I_n(f^{(x)n}) / n!.
 
     In Hermite coordinates the coefficient at alpha is prod_i f_i^{alpha_i}
-    / alpha_i!.  Built unpruned: the 1/alpha! decay crosses any fixed
-    threshold while the matching Hermite values grow.
+    / alpha_i!.  Every nonzero one is kept, however small: the 1/alpha!
+    decay crosses any fixed threshold while the matching Hermite values
+    grow, and no derived store prunes.
     """
-    return wick_exp(ChaosVector.linear(list(f) or [0.0], prune=0.0), max_order)
+    return wick_exp(ChaosVector.linear(list(f) or [0.0]), max_order)
 
 
 # -- evaluation (bilinear form, see the module docstring) -------------------
@@ -1258,8 +1259,12 @@ def evaluate_at(F: ChaosVector, point: Sequence[float]) -> float:
 
 
 def coeff_distance(F: ChaosVector, G: ChaosVector) -> float:
-    """max over multi-indices of |c_alpha(F) - c_alpha(G)|."""
+    """max over multi-indices of |c_alpha(F) - c_alpha(G)|; DomainError if
+    a difference overflows to inf."""
     if F.dim != G.dim:
         raise DimensionMismatchError(f"dims differ: {F.dim} vs {G.dim}")
     keys = set(F._terms) | set(G._terms)
-    return max((abs(F.coeff(a) - G.coeff(a)) for a in keys), default=0.0)
+    out = max((abs(F.coeff(a) - G.coeff(a)) for a in keys), default=0.0)
+    if not math.isfinite(out):
+        raise DomainError("coefficient distance is not finite (overflow to inf)")
+    return out

@@ -80,7 +80,7 @@ def _random_terms(rng: np.random.Generator, dim: int, degree: int,
 
 def random_chaos(rng: np.random.Generator, dim: int, degree: int,
                  max_order: int, n_terms: int) -> ChaosVector:
-    return ChaosVector(dim, max_order, _random_terms(rng, dim, degree, n_terms), prune=0.0)
+    return ChaosVector(dim, max_order, _random_terms(rng, dim, degree, n_terms))
 
 
 def random_tensor(rng: np.random.Generator, dim: int, order: int,
@@ -89,7 +89,7 @@ def random_tensor(rng: np.random.Generator, dim: int, order: int,
     for _ in range(n_entries):
         t = tuple(sorted(int(i) for i in rng.integers(0, dim, size=order)))
         vals[t] = float(rng.uniform(-1.0, 1.0))
-    return SymTensor(dim, order, vals, prune=0.0)
+    return SymTensor(dim, order, vals)
 
 
 def random_poly(rng: np.random.Generator, dim: int, degree: int,
@@ -257,8 +257,8 @@ def _check_independence(rng):
                   float(rng.uniform(-1, 1)) for _ in range(3)}
         g_vals = {tuple(sorted(int(i) for i in rng.integers(2, 4, size=order_g))):
                   float(rng.uniform(-1, 1)) for _ in range(3)}
-        f = SymTensor(4, order_f, f_vals, prune=0.0)
-        g = SymTensor(4, order_g, g_vals, prune=0.0)
+        f = SymTensor(4, order_f, f_vals)
+        g = SymTensor(4, order_g, g_vals)
         if f.is_zero() or g.is_zero():
             continue
         if not independent(f, g):

@@ -60,7 +60,7 @@ def derivative_dir(F: ChaosVector, j: int) -> ChaosVector:
         m = alpha.multiplicity(j)
         if m:
             out[alpha.decremented(j)] = m * c
-    return ChaosVector._trusted(F.dim, F.max_order, out, F.prune)
+    return ChaosVector._trusted(F.dim, F.max_order, out)
 
 
 def gradient(F: ChaosVector) -> HValuedChaos:
@@ -111,7 +111,7 @@ def divergence(u: HValuedChaos) -> ChaosVector:
 def ou_apply(F: ChaosVector) -> ChaosVector:
     """The number operator delta(DF): scales the degree-n part by n."""
     return ChaosVector._trusted(F.dim, F.max_order,
-                                {a: a.degree * c for a, c in F.items()}, F.prune)
+                                {a: a.degree * c for a, c in F.items()})
 
 
 def sobolev_norm(F: ChaosVector, k: int) -> float:

@@ -53,7 +53,7 @@ class PolySeries(_Store):
     """A real polynomial in d commuting variables, sparse over exponents.
 
     ChaosVector's store read as monomial coefficients: the same
-    validation, never pruned, and truncation is the hard cap on total
+    validation and pruning, and truncation is the hard cap on total
     degree (the store's max_order), so constructing a term beyond it
     raises OrderOverflowError.
     """
@@ -63,7 +63,7 @@ class PolySeries(_Store):
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, float] | None = None,
                  truncation: int = 64):
-        super().__init__(dim, truncation, terms, prune=0.0)
+        super().__init__(dim, truncation, terms)
 
     @property
     def truncation(self) -> int:
@@ -120,17 +120,17 @@ def wick_order_poly(p: PolySeries,
                  for alpha, c in p._terms.items()}
     except OverflowError:
         raise DomainError("a Wick-ordered coefficient overflows") from None
-    return ChaosVector._trusted(p.dim, p.truncation, terms, 0.0)
+    return ChaosVector._trusted(p.dim, p.truncation, terms)
 
 
 def poly_to_chaos(p: PolySeries) -> ChaosVector:
     """The plain (unrenormalized) random variable p(e~) in the Hermite basis."""
-    return _coordinatewise(p, lambda i, m: power_to_hermite(m), ChaosVector, 0.0)
+    return _coordinatewise(p, lambda i, m: power_to_hermite(m), ChaosVector)
 
 
 def chaos_to_poly(F: ChaosVector) -> PolySeries:
     """Expand a chaos vector into an explicit polynomial in the coordinates."""
-    return _coordinatewise(F, lambda i, m: hermite_to_power(m), PolySeries, 0.0)
+    return _coordinatewise(F, lambda i, m: hermite_to_power(m), PolySeries)
 
 
 # -- independent-copy representation ----------------------------------------
@@ -242,8 +242,9 @@ class WickExpSquare:
     tail_weight: float
 
     def closed(self, x: float) -> float:
-        return (1.0 + self.lam) ** -0.5 * math.exp(
-            self.lam * x * x / (2.0 * (1.0 + self.lam)))
+        """The closed form at x; DomainError unless finite."""
+        x = float(x)
+        return _closed((1.0 + self.lam) ** -0.5, self.lam * x * x / (2.0 * (1.0 + self.lam)))
 
 
 def wick_exp_square(lam: float, K: int = 40) -> WickExpSquare:
@@ -255,7 +256,7 @@ def wick_exp_square(lam: float, K: int = 40) -> WickExpSquare:
     if abs(lam) >= 1.0:
         raise DivergenceError(
             f"series for :exp(lam x^2/2): diverges in L2 at |lam| = {abs(lam)} >= 1")
-    half_h2 = ChaosVector(1, 2, {MultiIndex(((0, 2),)): lam / 2.0}, prune=0.0)
+    half_h2 = ChaosVector(1, 2, {MultiIndex(((0, 2),)): lam / 2.0})
     series = wick_exp(half_h2, 2 * K)
     return WickExpSquare(lam, K, series, _tail_weight_square(lam, K))
 
@@ -272,15 +273,27 @@ class WickExpI2:
     series: ChaosVector
 
     def closed(self, point: Sequence[float]) -> float:
+        """The closed form at point; DomainError unless finite."""
         x = np.asarray(point, dtype=float)
         if x.shape != (self.tensor.dim,):
             raise DimensionMismatchError("point length does not match dim")
-        z = self.basis.T @ x
-        out = 0.0
-        for lam, zn in zip(self.eigenvalues, z):
-            out += (-lam / 2.0 - 0.5 * math.log1p(lam)
-                    + lam * zn * zn / (2.0 * (1.0 + lam)))
-        return math.exp(out)
+        z = (self.basis.T @ x).tolist()
+        return _closed(1.0, _total((-lam / 2.0 - 0.5 * math.log1p(lam)
+                                    + lam * zn * zn / (2.0 * (1.0 + lam))
+                                    for lam, zn in zip(self.eigenvalues, z)),
+                                   "closed-form exponent"))
+
+
+def _closed(factor: float, exponent: float) -> float:
+    """factor * exp(exponent), in Python floats; DomainError on overflow or
+    a NaN or inf value."""
+    try:
+        out = factor * math.exp(exponent)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"closed form is not finite (exponent {exponent})")
+    return out
 
 
 def _tensor_matrix(f: SymTensor) -> np.ndarray:

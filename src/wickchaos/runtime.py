@@ -132,7 +132,7 @@ class Session:
                     raise CommandError(f"basis index {i} outside 1..{self.dim}")
             key = tuple(sorted(i - 1 for i in idxs))
             values[key] = values.get(key, 0.0) + v
-        return SymTensor(self.dim, node.order, values, prune=0.0)
+        return SymTensor(self.dim, node.order, values)
 
     # -- polynomial-mode evaluation (renorm command) --
 

@@ -112,7 +112,7 @@ def _store_from_obj(obj: Any, path: str, cls: type[ChaosVector] | type[PolySerie
         if alpha in terms:
             raise SchemaError("duplicate multi-index", f"{tpath}.{label}")
         terms[alpha] = _require_number(entry["coeff"], f"{tpath}.coeff")
-    return cls._trusted(dim, order, terms, 0.0)
+    return cls._trusted(dim, order, terms)
 
 
 def chaos_to_obj(F: ChaosVector) -> dict:
@@ -171,7 +171,7 @@ def tensor_from_obj(obj: Any, path: str = "") -> SymTensor:
         if key in values:
             raise SchemaError("duplicate index tuple", f"{vpath}.index")
         values[key] = _require_number(entry["value"], f"{vpath}.value")
-    return SymTensor(dim, order, values, prune=0.0)
+    return SymTensor(dim, order, values)
 
 
 # -- text level ----------------------------------------------------------------

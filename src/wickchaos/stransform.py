@@ -68,5 +68,4 @@ def translate(F: ChaosVector, y: Sequence[float]) -> ChaosVector:
     """
     if len(y) != F.dim:
         raise DimensionMismatchError(f"shift length {len(y)} != dim {F.dim}")
-    return _coordinatewise(F, lambda i, m: hermite_shift(m, float(y[i])),
-                           ChaosVector, F.prune)
+    return _coordinatewise(F, lambda i, m: hermite_shift(m, float(y[i])), ChaosVector)

@@ -38,7 +38,7 @@ def trace(f: SymTensor) -> SymTensor:
                 beta = MultiIndex((j, mj - 2 * (j == i)) for j, mj in alpha.entries)
                 vals[beta] = vals.get(beta, 0.0) + v
     vals = dict(sorted(vals.items(), key=lambda kv: kv[0].to_indices()))
-    return SymTensor._trusted(f.dim, f.order - 2, vals, 0.0)
+    return SymTensor._trusted(f.dim, f.order - 2, vals)
 
 
 def _traces(f: SymTensor, k: int) -> list[SymTensor]:

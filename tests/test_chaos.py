@@ -22,7 +22,8 @@ from wickchaos.stransform import translate
 from wickchaos.stratonovich import trace
 from wickchaos.tensors import SymTensor, basis_tensor
 
-from helpers import absolute, chaos_to_callable, eval_chaos_ref, expect_nd, vectors
+from helpers import (PRUNE_DEFAULT, absolute, chaos_to_callable, eval_chaos_ref, expect_nd,
+                     vectors)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -48,10 +49,26 @@ def test_constructor_validation():
         ChaosVector(2, 1, {MultiIndex([(0, 2)]): 1.0})
     with pytest.raises(DimensionMismatchError):
         ChaosVector(2, 3, {MultiIndex([(2, 1)]): 1.0})
-    # default prune drops tiny coefficients, prune=0.0 keeps them
-    tiny = {MultiIndex([(0, 1)]): 1e-20}
-    assert ChaosVector(1, 1, tiny).n_terms() == 0
-    assert ChaosVector(1, 1, tiny, prune=0.0).n_terms() == 1
+    # the default keeps every nonzero coefficient; a prune is applied on
+    # request, and recorded
+    tiny = {MultiIndex([(0, 1)]): 1e-20, MultiIndex([(1, 1)]): 0.0}
+    F = ChaosVector(2, 1, tiny)
+    assert F.terms == {MultiIndex([(0, 1)]): 1e-20} and F.prune == 0.0
+    P = ChaosVector(2, 1, tiny, prune=PRUNE_DEFAULT)
+    assert P.n_terms() == 0 and P.prune == PRUNE_DEFAULT
+    assert ChaosVector.linear([1e-20, 0.0]).n_terms() == 1
+    assert ChaosVector.linear([1e-20, 0.0], prune=PRUNE_DEFAULT).n_terms() == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -1e-300])
+def test_a_bad_prune_is_refused(bad):
+    # a NaN prune would drop every term, and a negative one store 0.0
+    x = MultiIndex([(0, 1)])
+    for build in (lambda: ChaosVector(1, 2, {x: 1.0, x + x: 0.0}, prune=bad),
+                  lambda: ChaosVector.linear([1.0, 0.0], prune=bad),
+                  lambda: SymTensor(2, 1, {(0,): 1.0}, prune=bad)):
+        with pytest.raises(ValueError, match="prune"):
+            build()
 
 
 def test_constructor_rejects_a_label_that_is_not_a_multiindex():
@@ -450,3 +467,39 @@ def test_coeff_distance():
     G = ChaosVector(1, 2, {MultiIndex([(0, 2)]): 1.5, EMPTY: 0.25})
     assert coeff_distance(F, G) == 0.5
     assert coeff_distance(F, F) == 0.0
+    # two finite vectors whose difference overflows: loud, not a silent inf
+    x = MultiIndex([(0, 1)])
+    F, G = ChaosVector(1, 1, {x: 1e308}), ChaosVector(1, 1, {x: -1e308})
+    with pytest.raises(DomainError, match="not finite"):
+        coeff_distance(F, G)
+    assert coeff_distance(F, ChaosVector(1, 1, {x: -7e307})) == 1e308 + 7e307
+
+
+def test_small_data_keeps_every_term():
+    # no arithmetic prunes, so a result does not depend on the scale of its
+    # data: under a fixed threshold each of these would be the zero vector
+    x = MultiIndex([(0, 1)])
+    F = ChaosVector(1, 4, {x: 1e-10})
+    c = 1e-10 * 1e-10
+    assert list(wick_product(F, F, clip=True).items()) == [(x + x, c)]
+    assert ordinary_product(F, F).terms == {x + x: c, EMPTY: c}
+    assert list(scale(F, 1e-5).items()) == [(x, 1e-10 * 1e-5)]
+    h2 = ChaosVector(1, 4, {x + x: 1.0})
+    assert list(second_quantization(h2, 1e-8).items()) == [(x + x, 1e-8 ** 2)]
+
+
+@SETTINGS
+@given(data=st.data(), k=st.sampled_from([1, 40, 300]))
+def test_products_commute_with_power_of_two_scaling(data, k):
+    # 2^-k scales every coefficient exactly, far from the subnormals, so a
+    # product of scaled operands is the scaled product, bit for bit
+    dim = data.draw(st.integers(1, 3))
+    F, G = (data.draw(vectors(dim, 4)) for _ in "FG")
+    s = 2.0 ** -k
+    for product in (wick_product, ordinary_product):
+        got = product(scale(F, s), scale(G, s), clip=True)
+        want = scale(product(F, G, clip=True), s * s)
+        assert [(a, c.hex()) for a, c in got.items()] == \
+            [(a, c.hex()) for a, c in want.items()]
+    y = [0.5] * dim
+    assert list(translate(scale(F, s), y).items()) == list(scale(translate(F, y), s).items())

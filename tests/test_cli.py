@@ -54,6 +54,20 @@ def test_non_finite_stransform_exit_2(program, capsys):
     assert out.out == "" and out.err.startswith("error: ") and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("program,value", [
+    ("expect 1e-20", 1e-20),
+    ("x = 1e-10; expect x*x", 1e-10 * 1e-10),
+    ("stransform 1e-20 * I1{(1): 1}, 1", 1e-20)])
+def test_small_values_are_printed_exactly(program, value, capsys):
+    # nothing is pruned on the way: under a fixed threshold each of these
+    # would print 0.0, while renorm keeps its 1e-20 either way
+    assert main(["-c", program]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+    assert main(["-c", "renorm 1e-20 * x1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["terms"] == [
+        {"alpha": [[1, 1]], "coeff": 1e-20}]
+
+
 def test_translate_command():
     proc = run_cli("-c", "translate I2{(1,1): 1.0}, 1 0")
     assert proc.returncode == 0

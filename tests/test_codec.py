@@ -4,7 +4,9 @@ A codec maps labels to integer codes and back for one key (base, *coords)
 and is kept across calls.  Whatever a codec holds, a result must be the one
 a cold codec gives: the same labels, the same bits, the same term order.
 The kernels' output skips the label checks of the public constructor but
-must still raise on a NaN or inf and prune exactly as the constructor does.
+must still raise on a NaN or inf.  It drops exact zeros only: a threshold
+is applied by the constructor alone, so no derived store depends on the
+prune its operands were built with.
 """
 
 import math
@@ -21,14 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wickchaos import chaos
-from wickchaos.chaos import (ChaosVector, PRUNE_DEFAULT, exponential_vector,
+from wickchaos.chaos import (ChaosVector, exponential_vector,
                              ordinary_product, wick_exp, wick_product)
 from wickchaos.errors import DomainError
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries, chaos_to_poly, poly_to_chaos
 from wickchaos.stransform import translate
 
-from helpers import vectors
+from helpers import PRUNE_DEFAULT, vectors
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -283,18 +285,23 @@ def test_overflowing_translate_and_wick_exp_raise():
 
 
 def test_a_nan_is_never_pruned():
-    # abs(nan) > prune is False, so a check after the prune would miss it
+    # a NaN is truthy and abs(nan) > prune is False: whichever rule drops
+    # terms, a check after it could miss one, so the check comes first
     x = MultiIndex([(0, 1)])
     for cls in (ChaosVector, PolySeries):
         with pytest.raises(DomainError, match="nan"):
-            cls._trusted(1, 2, {EMPTY: 1.0, x: math.nan}, 1.0)
+            cls._trusted(1, 2, {EMPTY: 0.0, x: math.nan})
         with pytest.raises(DomainError, match="-inf"):
-            cls._trusted(1, 2, {EMPTY: 0.5, x: -math.inf}, 1.0)
-        assert cls._trusted(1, 2, {EMPTY: 0.5, x: 2.0}, 1.0).terms == {x: 2.0}
+            cls._trusted(1, 2, {EMPTY: 0.0, x: -math.inf})
+        out = cls._trusted(1, 2, {EMPTY: 0.0, x: 2.0, x + x: -0.0})
+        assert out.terms == {x: 2.0} and out.prune == 0.0
+        tiny = {EMPTY: 5e-324, x: -1e-20, x + x: 1e-300}
+        assert cls._trusted(1, 2, dict(tiny)).terms == tiny
 
 
 def rebuilt(P, unpruned):
-    """The public constructor's reading of the unpruned result at P's prune."""
+    """The public constructor's reading of the unpruned result at P's prune,
+    which is 0.0 for every derived store."""
     return ChaosVector(P.dim, P.max_order, unpruned.terms, prune=P.prune)
 
 
@@ -315,6 +322,9 @@ def small_vectors(draw, dim, order):
 @SETTINGS
 @given(data=st.data(), prune=st.sampled_from([PRUNE_DEFAULT, 2.0 ** -47, 1e-10]))
 def test_the_prune_drops_what_the_constructor_drops(data, prune):
+    # operands built under a prune give the bits of the same operands built
+    # at 0.0: the threshold does not pass on, and products of 2^-24 and
+    # 2^-23 (2^-47, under every prune drawn) are kept
     dim, order = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
     f, g = data.draw(small_vectors(dim, order)), data.draw(small_vectors(dim, order))
     F, G = (ChaosVector(dim, order, t, prune=prune) for t in (f, g))
@@ -326,7 +336,7 @@ def test_the_prune_drops_what_the_constructor_drops(data, prune):
             mp.setattr(chaos, "_CHUNK", chunk)
             for product in (wick_product, ordinary_product):
                 P, U = product(F, G, clip=True), product(F0, G0, clip=True)
-                assert bits(P) == bits(rebuilt(P, U))
+                assert P.prune == 0.0 and bits(P) == bits(rebuilt(P, U))
     y = [0.5] * dim
     assert bits(translate(F, y)) == bits(rebuilt(F, translate(F0, y)))
     E, E0 = (wick_exp(ChaosVector(dim, order, f, prune=p), order) for p in (prune, 0.0))
@@ -334,11 +344,15 @@ def test_the_prune_drops_what_the_constructor_drops(data, prune):
 
 
 def test_prune_boundary_is_inclusive():
-    # 2^-24 * 2^-23 = 2^-47 exactly: |c| <= prune is dropped, as in the constructor
+    # the constructor drops |c| <= prune: 2^-47 goes at prune 2^-47 and
+    # stays just under it
     x, y = MultiIndex([(0, 1)]), MultiIndex([(1, 1)])
+    assert ChaosVector(2, 2, {x + y: 2.0 ** -47}, prune=2.0 ** -47).n_terms() == 0
+    assert ChaosVector(2, 2, {x + y: 2.0 ** -47}, prune=2.0 ** -48).n_terms() == 1
+    # 2^-24 * 2^-23 = 2^-47 exactly: the product is not a constructor, so
+    # it keeps the term that the operands' prune would have dropped
     F = ChaosVector(2, 2, {x: 2.0 ** -24, EMPTY: 1.0}, prune=2.0 ** -47)
     G = ChaosVector(2, 2, {y: 2.0 ** -23, EMPTY: 1.0}, prune=2.0 ** -47)
     P = wick_product(F, G)
-    assert x + y not in P.terms and P.coeff(x) == 2.0 ** -24
-    assert ChaosVector(2, 2, {x + y: 2.0 ** -47}, prune=2.0 ** -47).n_terms() == 0
-    assert P.coeff(EMPTY) == 1.0
+    assert P.coeff(x + y) == 2.0 ** -47 and P.coeff(x) == 2.0 ** -24
+    assert P.coeff(EMPTY) == 1.0 and P.prune == 0.0

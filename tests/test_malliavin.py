@@ -215,7 +215,7 @@ def test_expectation_of_divergence_vanishes():
 
 def _rebuilt_derivative(F, j):
     """D_j F with every label and the store built by the validating
-    constructors."""
+    constructors, at the threshold 0.0 of every derived store."""
     out = {}
     for alpha, c in F.items():
         m = alpha.multiplicity(j)
@@ -223,7 +223,7 @@ def _rebuilt_derivative(F, j):
             counts = dict(alpha.entries)
             counts[j] -= 1
             out[MultiIndex(counts.items())] = m * c
-    return ChaosVector(F.dim, F.max_order, out, prune=F.prune)
+    return ChaosVector(F.dim, F.max_order, out)
 
 
 def _rebuilt_higher(F, p):
@@ -297,7 +297,7 @@ def test_levels_reproduce_the_rebuilt_derivatives_bit_for_bit(data):
         assert _bits(product_via_wick_gradients(F, G)) == _bits(
             _rebuilt_pairing(F, G, wick_product, 1.0))
         assert _bits(ou_apply(F)) == _bits(ChaosVector(
-            F.dim, F.max_order, {a: a.degree * c for a, c in F.items()}, prune=F.prune))
+            F.dim, F.max_order, {a: a.degree * c for a, c in F.items()}))
 
 
 def _tensor(F, n):

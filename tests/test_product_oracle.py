@@ -140,7 +140,9 @@ def oracle_translate(F, y):
     return val, mag
 
 
-def assert_matches(P, want, prune):
+def assert_matches(P, want):
+    """P within rounding of the exact values; a derived store prunes
+    nothing, so a label it lacks summed to exactly 0.0 in floats."""
     val, mag = want
     got = {a.entries: c for a, c in P.items()}
     assert set(got) <= set(val)
@@ -148,8 +150,8 @@ def assert_matches(P, want, prune):
         bound = REL * mag[g]
         if g in got:
             assert abs(Fraction(got[g]) - v) <= bound, (g, got[g], float(v))
-        else:  # pruned: the exact value is within the threshold
-            assert abs(v) <= prune + bound, (g, float(v))
+        else:
+            assert abs(v) <= bound, (g, float(v))
 
 
 # -- generated inputs -------------------------------------------------------------
@@ -183,8 +185,8 @@ def test_product_matches_exact_oracle(product, factor, clip, pair):
         return
     P = product(F, G, clip=clip)
     assert P.dim == F.dim and P.max_order == max(F.max_order, G.max_order)
-    assert P.prune == min(F.prune, G.prune)
-    assert_matches(P, want, P.prune)
+    assert P.prune == 0.0
+    assert_matches(P, want)
 
 
 @SETTINGS
@@ -194,8 +196,8 @@ def test_translate_matches_exact_oracle(data, dim, order):
     y = data.draw(st.lists(st.one_of(st.just(0.0), signed(1e-3, 2.0)),
                            min_size=dim, max_size=dim))
     T = translate(F, y)
-    assert T.max_order == F.max_order and T.prune == F.prune
-    assert_matches(T, oracle_translate(F, y), T.prune)
+    assert T.max_order == F.max_order and T.prune == 0.0
+    assert_matches(T, oracle_translate(F, y))
 
 
 def wide(order):
@@ -209,9 +211,9 @@ def test_wide_support_codes_exceed_64_bits():
     assert 4 ** 69 > 2 ** 63
     F, G = wide(3), wide(3)
     for product, factor in PRODUCTS:
-        assert_matches(product(F, G, clip=True), oracle_product(F, G, factor, True), 0.0)
+        assert_matches(product(F, G, clip=True), oracle_product(F, G, factor, True))
     y = [0.5 - i / 70 for i in range(70)]
-    assert_matches(translate(F, y), oracle_translate(F, y), 0.0)
+    assert_matches(translate(F, y), oracle_translate(F, y))
 
 
 @pytest.fixture
@@ -235,7 +237,7 @@ def test_dense_product_above_crossover_matches_exact_oracle(product, factor, den
     G = exponential_vector([-0.3, 0.5, 0.9], 6)
     P = product(F, G, clip=True)
     assert dense_route and dense_route[0] >= chaos._CROSSOVER
-    assert_matches(P, oracle_product(F, G, factor, True), P.prune)
+    assert_matches(P, oracle_product(F, G, factor, True))
 
 
 @pytest.mark.parametrize("product", [wick_product, ordinary_product])
@@ -371,7 +373,7 @@ def test_routes_agree_bitwise_past_int64_weights(pair):
         assert all(r == first for r in rest)
     # and the product is the exact one, rounded
     P = ordinary_product(F, G, clip=True)
-    assert_matches(P, oracle_product(F, G, ordinary_factor, True), 0.0)
+    assert_matches(P, oracle_product(F, G, ordinary_factor, True))
 
 
 # -- the two routes of the coordinatewise maps -------------------------------------
@@ -420,7 +422,7 @@ def test_coordinatewise_route_is_picked_by_size(dense_route):
     y = [0.25, 0.0, -0.5, 1.5]
     T = translate(F, y)
     assert len(dense_route) == 4
-    assert_matches(T, oracle_translate(F, y), T.prune)
+    assert_matches(T, oracle_translate(F, y))
     # (3,5): 56 terms on 3 coordinates stay on the dict loop
     dense_route.clear()
     translate(exponential_vector([0.3, -0.2, 0.1], 5), [0.25, 0.0, -0.5])
@@ -456,8 +458,8 @@ def test_wick_exp_matches_exact_oracle(data, dim, order):
     # a constant plus parts of degree 1-3, some of them above the order
     F = data.draw(vectors(dim, data.draw(st.integers(0, 3))))
     P = wick_exp(F, order)
-    assert (type(P), P.dim, P.max_order, P.prune) == (ChaosVector, F.dim, order, F.prune)
-    assert_matches(P, oracle_wick_exp(F, order), P.prune)
+    assert (type(P), P.dim, P.max_order, P.prune) == (ChaosVector, F.dim, order, 0.0)
+    assert_matches(P, oracle_wick_exp(F, order))
 
 
 @SETTINGS

@@ -271,6 +271,30 @@ def test_wick_exp_square_pinned_value():
     assert abs(evaluate_at(W.series, [1.0]) - 0.9645767379481667) < 1e-10
 
 
+def test_closed_forms_overflow_loudly():
+    # an overflow or a non-finite closed form raises DomainError, read in
+    # Python floats so that numpy does not warn first
+    W = wick_exp_square(0.5, K=5)
+    V = wick_exp_I2(SymTensor(2, 2, {(0, 0): 0.5, (1, 1): 0.2}), K=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: W.closed(1e200), lambda: W.closed(100.0),
+                     lambda: W.closed(np.float64(1e200)),
+                     lambda: V.closed([1e200, 0.0]), lambda: V.closed(np.array([0.0, 1e200])),
+                     lambda: V.closed([100.0, 0.0])):
+            with pytest.raises(DomainError, match="not finite"):
+                call()
+        # finite values keep the bits of the formulas written out
+        for x in (1.0, -2.5, np.float64(3.0)):
+            assert W.closed(x) == 1.5 ** -0.5 * math.exp(0.5 * x * x / 3.0)
+        z = (V.basis.T @ np.array([1.0, -2.0])).tolist()
+        out = 0.0
+        for lam, zn in zip(V.eigenvalues, z):
+            out += -lam / 2.0 - 0.5 * math.log1p(lam) + lam * zn * zn / (2.0 * (1.0 + lam))
+        assert V.closed([1.0, -2.0]) == math.exp(out)
+        assert type(V.closed(np.array([1.0, -2.0]))) is float
+
+
 def test_evaluation_overflow_is_loud():
     # the Hermite recurrence overflows at order 600 and x = 4, where the
     # closed form is 35.29: raise instead of returning NaN

@@ -2,12 +2,12 @@
 
 Every vector sum is one n-ary add and every scalar sum one checked total,
 chaos._total.  The references below are the earlier algorithms written out:
-the left fold of two-operand adds, each step pruning its whole partial sum
-at the smallest prune so far, and the plain scalar loops from 0.0 (on
-Python 3.10 and 3.11 the earlier sum() of norm_sq and gamma_norm is that
-loop).  On generated inputs, among them empty stores, default-prune
-vectors, coefficients near 1e-15 and 1e-7 and zero directions, the results
-must match in bits, term order and type.
+the left fold of two-operand adds, each step a derived store that drops
+the exact zeros of its whole partial sum, and the plain scalar loops from
+0.0 (on Python 3.10 and 3.11 the earlier sum() of norm_sq and gamma_norm
+is that loop).  On generated inputs, among them empty stores, operands
+built with a prune, coefficients near 1e-15 and 1e-7 and zero directions,
+the results must match in bits, term order and type.
 """
 
 import math
@@ -16,7 +16,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from wickchaos.chaos import (PRUNE_DEFAULT, ChaosVector, SymTensor, add, from_tensor,
+from wickchaos.chaos import (ChaosVector, SymTensor, add, from_tensor,
                              gamma_norm, inner_product, l2_norm, ordinary_product, scale,
                              to_tensor, wick_product)
 from wickchaos.errors import DimensionMismatchError, DomainError
@@ -32,20 +32,22 @@ from wickchaos.stratonovich import (ito_from_stratonovich, stratonovich_integral
                                     stratonovich_partial_sum, trace_k)
 from wickchaos.tensors import INDEPENDENCE_TOL, contraction_1, independent
 
+from helpers import PRUNE_DEFAULT
+
 
 # -- the earlier vector sums: a left fold of two-operand adds ----------------
 
 def add2(F, G):
-    dim, order, prune = F.dim, max(F.max_order, G.max_order), min(F.prune, G.prune)
+    dim, order = F.dim, max(F.max_order, G.max_order)
     assert F.dim == G.dim
     out = dict(F._terms)
     for a, c in G._terms.items():
         out[a] = out.get(a, 0.0) + c
-    return type(F)._trusted(dim, order, out, prune)
+    return type(F)._trusted(dim, order, out)
 
 
 def fold(F, *Gs):
-    return reduce(add2, Gs, F)
+    return reduce(add2, Gs, type(F)._trusted(F.dim, F.max_order, dict(F._terms)))
 
 
 def ref_directional_derivative(F, g):
@@ -205,7 +207,7 @@ def key(x):
 
 
 def coeff(rng, scale_):
-    # halves cancel exactly, so partial sums hit 0.0 and the prune
+    # halves cancel exactly, so partial sums hit 0.0 and are dropped
     if rng.integers(0, 3) == 0:
         return float(rng.integers(-3, 4)) * 0.5 * scale_
     return float(rng.uniform(-1.0, 1.0)) * scale_
@@ -283,9 +285,9 @@ def test_sums_match_the_earlier_algorithms(seed):
 
 
 def test_add_drops_a_cancelled_label_at_once():
-    # a fold step prunes the partial sum, so a label that cancels to 0.0
-    # leaves it and, touched again, re-enters at the end; a sum pruned only
-    # at the end would keep it in its first place
+    # a fold step drops the exact zeros of the partial sum, so a label that
+    # cancels to 0.0 leaves it and, touched again, re-enters at the end; a
+    # sum that dropped zeros only at the end would keep it in its first place
     a, b = MultiIndex([(0, 1)]), MultiIndex([(0, 2)])
     F = ChaosVector(1, 2, {a: 1.0, b: 2.0})
     minus_a = ChaosVector(1, 2, {a: -1.0})
@@ -293,10 +295,13 @@ def test_add_drops_a_cancelled_label_at_once():
     out = add(F, minus_a, plus_a)
     assert list(out.items()) == [(b, 2.0), (a, 3.0)]
     assert key(out) == key(fold(F, minus_a, plus_a))
-    # under a default prune a near-cancellation leaves too
-    near = ChaosVector(1, 2, {a: -1.0 + 1e-15})
-    assert list(add(F, near).items()) == [(b, 2.0)]
-    assert list(add(F, ChaosVector(1, 2, {a: -1.0 + 1e-15}, prune=0.0)).items())[0][0] == a
+    # a near-cancellation keeps its exact residue, whatever prune the
+    # operands were built with: only a constructor prunes
+    for prune in (0.0, PRUNE_DEFAULT):
+        near = ChaosVector(1, 2, {a: -1.0 + 1e-15}, prune=prune)
+        out = add(ChaosVector(1, 2, {a: 1.0, b: 2.0}, prune=prune), near)
+        assert list(out.items()) == [(a, 1.0 + (-1.0 + 1e-15)), (b, 2.0)]
+        assert out.prune == 0.0 and key(out) == key(fold(F, near))
 
 
 def test_add_keeps_the_fold_contract():

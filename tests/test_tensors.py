@@ -14,7 +14,8 @@ from wickchaos.tensors import (SymTensor, basis_tensor, contract_vector,
                                sym_product)
 from wickchaos.stratonovich import trace
 
-from helpers import dense_contract_last, dense_sym_outer, dense_tensor, dense_trace
+from helpers import (PRUNE_DEFAULT, dense_contract_last, dense_sym_outer, dense_tensor,
+                     dense_trace)
 
 
 def random_sym(rng, dim, order, n_terms=4):
@@ -50,8 +51,9 @@ def test_constructor_canonicalizes():
         SymTensor(2, 2, {(0, 5): 1.0})
     with pytest.raises(ValueError):
         SymTensor(0, 1)
-    assert SymTensor(2, 1, {(0,): 1e-20}).is_zero()
-    assert not SymTensor(2, 1, {(0,): 1e-20}, prune=0.0).is_zero()
+    # the default keeps every nonzero value; a prune is applied on request
+    assert SymTensor(2, 1, {(0,): 1e-20}).values == {(0,): 1e-20}
+    assert SymTensor(2, 1, {(0,): 1e-20}, prune=PRUNE_DEFAULT).is_zero()
     # tuples that sort alike are summed before pruning: this one cancels
     assert SymTensor(3, 2, {(2, 0): 1.5, (0, 2): -1.5}).is_zero()
     with pytest.raises(DimensionMismatchError):
