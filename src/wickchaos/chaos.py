@@ -157,10 +157,13 @@ reads F and G so.  The plan (the cut, C and the gather indices) of one
 vector depends on it alone and is kept on it; a joint plan has no owner
 and is built per call.  A block has as many samples as fit _EVAL_CELLS =
 2^18 entries (2 MiB of doubles, about one core's L2 cache) of buffers:
-Hermite table, Psi_A, Psi_B, C Psi_B (k |A| rows) and a gather buffer,
-all allocated once per call.  Besides them a call holds only its output
-and a copy of the sample columns the vectors use.  The same contraction
-runs renormalization.wick_order_icopy_mc on powers of complex points.
+Hermite table, Psi_A, Psi_B, C Psi_B (k |A| rows) and a gather buffer.
+Each block copies the sample columns the vectors use into a block-sized
+slice.  The thread keeps these arrays between calls, as _convolve_dense
+keeps its work arrays, so a call allocates only its output: buffers made
+per call let the C allocator trim its heap and fault it back in on every
+call.  The same contraction runs renormalization.wick_order_icopy_mc on
+powers of complex points, formed per block from the block's columns.
 BLAS picks its kernels by shape, so a row's value can differ in the last
 bits with the number of rows in its block, of vectors read with it or of
 heads in its degree group; the same batch, or the same Monte Carlo chunk
@@ -1180,38 +1183,68 @@ def _basis(flat: np.ndarray, runs: list[tuple[np.ndarray, list[int]]],
         first += len(idx)
 
 
-def _contract(plan: _Plan, x: np.ndarray, table) -> np.ndarray:
+_blocks = threading.local()  # per thread: the block buffers its last _contract calls left
+
+
+def _taken(key: str, size: int) -> np.ndarray:
+    """This thread's buffer of bytes under key, taken from it while in use
+    so that a call that raises drops it, and made larger when too small."""
+    flat = _blocks.__dict__.pop(key, None)
+    if flat is None or len(flat) < size:
+        flat = np.empty(max(size, 0 if flat is None else len(flat)), np.uint8)
+    return flat
+
+
+def _laid(flat: np.ndarray, shapes: list[tuple[int, ...]], rows: int) -> list[np.ndarray]:
+    """Views of flat of the shapes, each with rows columns, end to end."""
+    views, first = [], 0
+    for b in shapes:
+        last = first + math.prod(b) * rows
+        views.append(flat[first:last].reshape(b + (rows,)))
+        first = last
+    return views
+
+
+def _contract(plan: _Plan, x: np.ndarray, table, dtype=float) -> np.ndarray:
     """The (k, n) array of sum_alpha c_alpha prod_i table(x_i)[alpha_i], one
-    row per vector of the plan and one column per row of x.
+    row per vector of the plan and one column per row of x, in dtype.
 
     table(cols, top, out) fills out[m] with label m of the (u, rows) array
-    cols, m = 0..top, label 0 being 1: hermite_rows for evaluate, powers of
-    complex points for renormalization.wick_order_icopy_mc.  Each block
-    builds one table, Psi_A and Psi_B for all k vectors, and one product
-    of the stacked C per degree group.  The buffers take _EVAL_CELLS
-    entries, whatever the size of the vectors, and are allocated once per
-    call, next to a copy of the used columns of x.
+    cols, m = 0..top, label 0 being 1, and may overwrite cols:
+    hermite_rows for evaluate, powers of complex points for
+    renormalization.wick_order_icopy_mc.  cols is a copy of the used
+    columns of a block of x.  Each block builds one table, Psi_A and Psi_B
+    for all k vectors, and one product of the stacked C per degree group.
+    The buffers of a block (_EVAL_CELLS entries of dtype at most, whatever
+    the size of the vectors) and its column copy are views of two buffers
+    of bytes that the thread keeps (_taken) for real and complex tables
+    alike, so a call allocates only its output.
     """
     k, coords, top, C, head, tail, buffers, block = plan
     n = x.shape[0]
     if not coords:
         return np.repeat(C, n, axis=1)
-    xs = np.ascontiguousarray(x[:, coords].T)
-    out = np.empty((k, n), x.dtype)
+    out = np.empty((k, n), dtype)
+    u, span = len(coords), min(block, n)
+    size = span * sum(math.prod(b) for b in buffers) * np.dtype(dtype).itemsize
+    cols, flat = _taken("cols", 8 * u * span), _taken("block", size)
     work = None
     for start in range(0, n, block):
         stop = min(start + block, n)
         if work is None or work[0].shape[-1] != stop - start:
-            work = [np.empty(b + (stop - start,), x.dtype) for b in buffers]
+            xs = cols[:8 * u * (stop - start)].view(float).reshape(u, -1)
+            work = _laid(flat[:size].view(dtype), buffers, stop - start)
         tab, psi_a, psi_b, factor, prod = work
-        table(xs[:, start:stop], top, tab)
-        flat = tab.reshape(-1, stop - start)
-        _basis(flat, tail, psi_b, factor)
+        for r, i in enumerate(coords):
+            xs[r] = x[start:stop, i]
+        table(xs, top, tab)
+        flat_tab = tab.reshape(-1, stop - start)
+        _basis(flat_tab, tail, psi_b, factor)
         if head is None:
             for c, o in zip(C, out[:, start:stop]):
                 np.dot(c, psi_b, out=o)  # matmul is 5x slower on one row
         else:
-            _basis(flat, head, psi_a, factor)
+            _basis(flat_tab, head, psi_a, factor)
             prods, first = prod.reshape(k, -1, stop - start), 0
             for group in C:
                 _, rows, width = group.shape
@@ -1219,6 +1252,9 @@ def _contract(plan: _Plan, x: np.ndarray, table) -> np.ndarray:
                 first += rows
             for m, o in zip(prods, out[:, start:stop]):
                 np.einsum("ij,ij->j", psi_a, m, out=o)
+    for name, kept in (("cols", cols), ("block", flat)):
+        if len(kept) <= 16 * _EVAL_CELLS:  # the bytes of _EVAL_CELLS complex entries
+            _blocks.__dict__[name] = kept
     return out
 
 

@@ -10,7 +10,9 @@ This differs from the physicists' convention (leading coefficient 2^n)
 used by numpy.polynomial.hermite; numpy.polynomial.hermite_e matches ours
 but is deliberately not relied on, the recurrence here is the ground truth
 the tests pin against an explicit-sum oracle.  It is written once, in
-hermite_rows; hermite_eval reads one row of it.
+hermite_rows; hermite_eval reads one row of it.  hermite_rows fills the
+table it is given in place, with no temporaries: chaos evaluation hands
+it a block buffer that its thread keeps between calls.
 
 The pairing count hu_meyer_coeff(n, k) = n! / (2^k k! (n-2k)!), the ways
 to pick k disjoint pairs from n slots, gives both changes of basis
@@ -77,14 +79,29 @@ def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np
     """All orders at once: rows[k] = H_k evaluated elementwise, k = 0..n_max.
 
     out, if given, is the (n_max + 1,) + x.shape array to fill and return.
+    The rows are filled in place: k H_{k-1} waits in row 0, which is set
+    back to 1 at the end, so an array x makes no temporaries.  One value
+    (a 0-d x, a point of one coordinate) runs on Python floats instead,
+    with the same roundings and without a numpy call per order.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.empty((n_max + 1,) + x.shape, dtype=float) if out is None else out
+    rows = np.empty((n_max + 1,) + x.shape) if out is None else out
+    if x.size == 1:
+        t = x.item()
+        h = [1.0, t]
+        for k in range(1, n_max):
+            h.append(t * h[k] - k * h[k - 1])
+        rows[...] = np.reshape(h[:n_max + 1], rows.shape)
+        return rows
     rows[0] = 1.0
     if n_max >= 1:
         rows[1] = x
+    h = list(rows)  # views of the rows: a list is cheaper to index per call
     for k in range(1, n_max):
-        rows[k + 1] = x * rows[k] - k * rows[k - 1]
+        np.multiply(h[k - 1], float(k), h[0])
+        np.multiply(x, h[k], h[k + 1])
+        np.subtract(h[k + 1], h[0], h[k + 1])
+    rows[0] = 1.0
     return rows
 
 

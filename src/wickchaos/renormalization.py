@@ -167,11 +167,21 @@ def wick_order_icopy_exact(p: PolySeries, variances: Sequence[float] | None,
                              start=c) for alpha, c in p._terms.items()), ":p(X):(x)")
 
 
-def _powers(z: np.ndarray, top: int, out: np.ndarray) -> None:
-    """out[m] = z**m elementwise, m = 0..top, by repeated multiplication."""
-    out[0] = 1.0
-    for m in range(1, top + 1):
-        np.multiply(out[m - 1], z, out=out[m])
+def _powers(x: np.ndarray, sig: np.ndarray):
+    """The table of chaos._contract for the complex points z = x + i y sig
+    of a block's columns y: out[m] = z**m elementwise, m = 0..top, by
+    repeated multiplication.  y * sig is formed in the columns and z in
+    out[top], which the last product overwrites in place: out[1] is
+    1 * z, which can differ from z in the sign of a zero part."""
+    def table(y: np.ndarray, top: int, out: np.ndarray) -> None:
+        z = out[top]
+        np.multiply(y, sig, out=y)
+        np.multiply(1j, y, out=z)
+        np.add(x, z, out=z)
+        out[0] = 1.0
+        for m in range(1, top + 1):
+            np.multiply(out[m - 1], z, out=out[m])
+    return table
 
 
 def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
@@ -190,9 +200,10 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
         if x.shape != (p.dim,):
             raise DimensionMismatchError("point length does not match dim")
     plan = _plan((p,))
+    tables = [_powers(x[plan.coords, None], sig[plan.coords, None]) for x in pts]
 
     def rows(y: np.ndarray) -> np.ndarray:
-        return np.array([_contract(plan, x + 1j * (y * sig), _powers)[0].real for x in pts])
+        return np.array([_contract(plan, y, table, complex)[0].real for table in tables])
 
     return _mean_rows(rows, p.dim, n, seed)
 

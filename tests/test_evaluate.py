@@ -8,6 +8,8 @@ the sum of absolute contributions to that value.
 """
 
 import math
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 import wickchaos.chaos as chaos
 from wickchaos.chaos import ChaosVector, evaluate, evaluate_at, exponential_vector
 from wickchaos.errors import DomainError
-from wickchaos.montecarlo import estimate_pair_expectation
+from wickchaos.montecarlo import estimate_lp_norm, estimate_pair_expectation
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries, wick_exp_square, wick_order_icopy_mc
 from wickchaos.sampling import chunk_layout, chunk_normals
+from wickchaos.stransform import s_transform_mc
 
 from helpers import eval_chaos_ref, hermite_np
 
@@ -241,6 +244,100 @@ def test_repeat_and_threaded_twins_are_bitwise():
         serial = estimate_pair_expectation(A, B, n, seed=4)
         assert estimate_pair_expectation(A, B, n, seed=4, workers=2) == serial
         assert estimate_pair_expectation(A, B, n, seed=4) == serial
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda F, n, w: s_transform_mc(F, [0.2, -0.1, 0.15, 0.05], n, seed=6, workers=w),
+    lambda F, n, w: estimate_lp_norm(F, 2.0, n, seed=6, workers=w),
+    lambda F, n, w: estimate_lp_norm(F, 3.0, n, seed=6, workers=w)],
+    ids=["s_transform_mc", "lp_norm_p2", "lp_norm_p3"])
+def test_estimates_do_not_depend_on_the_worker_count(estimate):
+    F = exponential_vector([0.5, 0.25, 0.2, 0.1], 8)
+    n = (1 << 17) + 12345
+    serial = estimate(F, n, None)
+    for workers in (2, 3):
+        assert estimate(F, n, workers) == serial
+
+
+def block_buffers():
+    """The arrays this thread keeps for _contract, by name."""
+    return dict(chaos._blocks.__dict__)
+
+
+def test_a_warm_evaluation_allocates_only_its_output():
+    # block buffers made per call let the C allocator trim and re-fault its
+    # heap on every call: a warm call keeps to its 512 KiB output and small change
+    F = exponential_vector([0.3, -0.2, 0.1, 0.25], 8)
+    x = np.random.default_rng(2).normal(size=(1 << 16, 4))
+    evaluate(F, x)
+    tracemalloc.start()
+    try:
+        evaluate(F, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(x) + (128 << 10)
+
+
+def test_block_buffers_are_kept_per_thread():
+    F = exponential_vector([0.5, 0.25, 0.2, 0.1], 8)
+    x = np.random.default_rng(3).normal(size=(20000, 4))
+    want = evaluate(F, x).tobytes()
+    kept = block_buffers()
+    assert set(kept) == {"cols", "block"} and len(kept["block"]) <= 16 * chaos._EVAL_CELLS
+    assert evaluate(F, x).tobytes() == want
+    assert all(block_buffers()[name] is a for name, a in kept.items())
+    other = []
+    thread = threading.Thread(target=lambda: other.append((evaluate(F, x).tobytes(),
+                                                           block_buffers())))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    got, theirs = other[0]
+    assert got == want and all(theirs[name] is not a for name, a in kept.items())
+
+
+def test_a_call_that_raises_drops_its_block_buffers():
+    F = exponential_vector([0.5, 0.25, 0.2, 0.1], 8)
+    x = np.random.default_rng(4).normal(size=(20000, 4))
+    want = evaluate(F, x).tobytes()
+
+    def overflowing(cols, top, out):  # half fills the table, then finds an overflow
+        out[:2] = np.inf
+        raise DomainError("overflow")
+
+    with pytest.raises(DomainError):
+        chaos._contract(chaos._plan((F,)), x, overflowing)
+    assert block_buffers() == {}
+    assert evaluate(F, x).tobytes() == want
+    # the recurrence overflows at order 600 and x = 40: the buffers the call
+    # leaves hold inf and NaN, and the next call overwrites them
+    W = ChaosVector(2, 601, {MultiIndex([(0, 600), (1, 1)]): 1.0})
+    with pytest.raises(DomainError):
+        evaluate(W, np.full((5000, 2), 40.0))
+    assert evaluate(F, x).tobytes() == want
+
+
+def test_real_and_complex_tables_share_the_kept_buffers():
+    F = exponential_vector([0.5, 0.25, 0.2, 0.1], 8)
+    x = np.random.default_rng(5).normal(size=(20000, 4))
+    terms = {MultiIndex((i, m) for i, m in enumerate(e) if m): 0.1 * sum(e) - 0.3
+             for e in np.ndindex(4, 4) if sum(e) <= 6}
+    p = PolySeries(2, terms, truncation=6)
+    points = [[0.3, -0.7], [0.0, -0.0]]
+
+    def run():
+        return (evaluate(F, x).tobytes(), wick_order_icopy_mc(p, [0.5, 2.0], points, 70000, 3),
+                evaluate(F, x).tobytes())
+
+    fresh = []
+    thread = threading.Thread(target=lambda: fresh.append(run()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    first, icopy, again = run()
+    assert (first, icopy, again) == fresh[0] and first == again
+    assert set(block_buffers()) == {"cols", "block"}
 
 
 def icopy_reference(p, sig, point, n, seed):

@@ -59,6 +59,37 @@ def test_rows_agree_with_scalar_eval():
             assert abs(rows[n, j] - hermite_eval(n, x[j])) < 1e-11
 
 
+def rows_by_expression(x, n_max):
+    """The table as numpy arrays compute the recurrence when written out:
+    one temporary per product and one per difference."""
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((n_max + 1,) + x.shape)
+    rows[0] = 1.0
+    if n_max >= 1:
+        rows[1] = x
+    for k in range(1, n_max):
+        rows[k + 1] = x * rows[k] - k * rows[k - 1]
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (4, 1), (4, 700)])
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 120])
+def test_table_in_place_is_bitwise_the_expression(shape, n):
+    # the in-place recurrence and the one-value path on Python floats must
+    # round as the written-out expression does, also past overflow
+    rng = np.random.default_rng(n)
+    specials = [0.0, -0.0, 1e200, -np.inf, np.nan]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in [rng.normal(size=shape) * s for s in (0.5, 3.0, 40.0)] + \
+                 [np.full(shape, v) for v in specials]:
+            want = rows_by_expression(x, n)
+            assert hermite_rows(x, n).tobytes() == want.tobytes()
+            out = np.full((n + 1,) + np.shape(x), 7.0)
+            assert hermite_rows(x, n, out) is out and out.tobytes() == want.tobytes()
+    if shape == ():
+        assert hermite_eval(n, 0.3, max_order=n) == float(rows_by_expression(0.3, n)[n])
+
+
 def test_orthogonality_under_gaussian_weight():
     # E[H_m H_n] = delta_{mn} n!, checked by quadrature
     x, w = gauss_rule(40)
