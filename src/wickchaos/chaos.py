@@ -640,7 +640,7 @@ def _convolve(groups, order: int) -> dict[int, float]:
     return out
 
 
-_kept = threading.local()  # per thread: the work arrays its last _convolve_dense call left
+_kept = threading.local()  # per thread: what its last _convolve_dense and _contract calls left
 
 
 def _work(cells: int, pairs: int) -> tuple[np.ndarray, ...]:
@@ -1183,13 +1183,10 @@ def _basis(flat: np.ndarray, runs: list[tuple[np.ndarray, list[int]]],
         first += len(idx)
 
 
-_blocks = threading.local()  # per thread: the block buffers its last _contract calls left
-
-
-def _taken(key: str, size: int) -> np.ndarray:
-    """This thread's buffer of bytes under key, taken from it while in use
-    so that a call that raises drops it, and made larger when too small."""
-    flat = _blocks.__dict__.pop(key, None)
+def _taken(size: int) -> np.ndarray:
+    """This thread's buffer of bytes for _contract, taken from it while in
+    use so that a call that raises drops it, and made larger when too small."""
+    flat = _kept.__dict__.pop("block", None)
     if flat is None or len(flat) < size:
         flat = np.empty(max(size, 0 if flat is None else len(flat)), np.uint8)
     return flat
@@ -1215,10 +1212,11 @@ def _contract(plan: _Plan, x: np.ndarray, table, dtype=float) -> np.ndarray:
     renormalization.wick_order_icopy_mc.  cols is a copy of the used
     columns of a block of x.  Each block builds one table, Psi_A and Psi_B
     for all k vectors, and one product of the stacked C per degree group.
-    The buffers of a block (_EVAL_CELLS entries of dtype at most, whatever
-    the size of the vectors) and its column copy are views of two buffers
-    of bytes that the thread keeps (_taken) for real and complex tables
-    alike, so a call allocates only its output.
+    The column copy (at most _EVAL_CELLS / 2 doubles, the table having two
+    rows or more) and the buffers of a block (_EVAL_CELLS entries of dtype
+    at most, whatever the size of the vectors) are views of one buffer of
+    bytes that the thread keeps (_taken) for real and complex tables alike,
+    so a call allocates only its output.
     """
     k, coords, top, C, head, tail, buffers, block = plan
     n = x.shape[0]
@@ -1226,14 +1224,15 @@ def _contract(plan: _Plan, x: np.ndarray, table, dtype=float) -> np.ndarray:
         return np.repeat(C, n, axis=1)
     out = np.empty((k, n), dtype)
     u, span = len(coords), min(block, n)
+    lead = -(-8 * u * span // 64) * 64  # the columns' bytes; the buffers start on a cache line
     size = span * sum(math.prod(b) for b in buffers) * np.dtype(dtype).itemsize
-    cols, flat = _taken("cols", 8 * u * span), _taken("block", size)
+    flat = _taken(lead + size)
     work = None
     for start in range(0, n, block):
         stop = min(start + block, n)
         if work is None or work[0].shape[-1] != stop - start:
-            xs = cols[:8 * u * (stop - start)].view(float).reshape(u, -1)
-            work = _laid(flat[:size].view(dtype), buffers, stop - start)
+            xs = flat[:8 * u * (stop - start)].view(float).reshape(u, -1)
+            work = _laid(flat[lead:lead + size].view(dtype), buffers, stop - start)
         tab, psi_a, psi_b, factor, prod = work
         for r, i in enumerate(coords):
             xs[r] = x[start:stop, i]
@@ -1252,9 +1251,8 @@ def _contract(plan: _Plan, x: np.ndarray, table, dtype=float) -> np.ndarray:
                 first += rows
             for m, o in zip(prods, out[:, start:stop]):
                 np.einsum("ij,ij->j", psi_a, m, out=o)
-    for name, kept in (("cols", cols), ("block", flat)):
-        if len(kept) <= 16 * _EVAL_CELLS:  # the bytes of _EVAL_CELLS complex entries
-            _blocks.__dict__[name] = kept
+    if len(flat) <= 20 * _EVAL_CELLS:  # _EVAL_CELLS complex entries and their columns
+        _kept.block = flat
     return out
 
 

@@ -9,10 +9,12 @@ so H_2(x) = x^2 - 1 and E[H_n(X) H_m(X)] = delta_{nm} n! for X ~ N(0,1).
 This differs from the physicists' convention (leading coefficient 2^n)
 used by numpy.polynomial.hermite; numpy.polynomial.hermite_e matches ours
 but is deliberately not relied on, the recurrence here is the ground truth
-the tests pin against an explicit-sum oracle.  It is written once, in
-hermite_rows; hermite_eval reads one row of it.  hermite_rows fills the
-table it is given in place, with no temporaries: chaos evaluation hands
-it a block buffer that its thread keeps between calls.
+the tests pin against an explicit-sum oracle.  It runs in hermite_rows
+alone; hermite_eval reads one row of it.  hermite_rows fills the table it
+is given in place, with no temporaries: chaos evaluation hands it a block
+buffer that its thread keeps between calls.  One value runs it on Python
+floats, because three numpy calls per order cost more than the arithmetic
+(hermite_eval and a point of one coordinate are 2-10 times slower so).
 
 The pairing count hu_meyer_coeff(n, k) = n! / (2^k k! (n-2k)!), the ways
 to pick k disjoint pairs from n slots, gives both changes of basis
