@@ -139,20 +139,19 @@ multiplies all of Psi_B, the high group only the tails of degree
 d=4, K=8 that is 10 x 45 + 35 x 15 = 975 of the 2,025 cells.  A group
 per degree would save more cells, but thin products cost more per call
 than they save; when no split saves a cell there is one group.  The cut
-is the median used coordinate or none at all, whichever gives fewer
-basis rows |A| + |B|.  With no cut, C is the coefficient row, Psi_B the
-plain basis matrix and F(x) = C Psi_B(x) one matrix-vector product per
-block, so sparse and wide vectors cost what the basis matrix costs.
-Each basis row is the product of its own entries' Hermite rows, gathered
-from one table per block.
+is at the median used coordinate unless that gives more basis rows
+|A| + |B| than there are labels; then it is at the first used coordinate,
+every head is the empty part, A = {()}, Psi_A is a row of ones and C is
+the coefficient row, so sparse and wide vectors cost what the basis matrix
+costs.  Each basis row is the product of its own entries' Hermite rows,
+gathered from one table per block.
 
 k vectors read on the same samples share one plan: the union of their
 coordinates, one cut by the same rule, the union of their head parts and
-of their tail parts, and their matrices stacked as k blocks of |A| rows
-(k rows with no cut), grouped by the largest label degree over all k.
-Per block that is one Hermite table, one Psi_A and one Psi_B, one BLAS
-product of the stacked C per group and k column sums (with no cut, k
-matrix-vector products); montecarlo.estimate_pair_expectation
+of their tail parts, and their matrices stacked as k blocks of |A| rows,
+grouped by the largest label degree over all k.  Per block that is one
+Hermite table, one Psi_A and one Psi_B, one BLAS product of the stacked C
+per group and k column sums; montecarlo.estimate_pair_expectation
 reads F and G so.  The plan (the cut, C and the gather indices) of one
 vector depends on it alone and is kept on it; a joint plan has no owner
 and is built per call.  A block has as many samples as fit _EVAL_CELLS =
@@ -411,9 +410,7 @@ class SymTensor(_Store):
         return math.sqrt(self.norm_sq())
 
     def scale(self, c: float) -> "SymTensor":
-        c = float(c)
-        return SymTensor._trusted(self.dim, self.order,
-                                  {a: c * v for a, v in self._terms.items()})
+        return scale(self, c)
 
     def add(self, other: "SymTensor") -> "SymTensor":
         if self.order != other.order:
@@ -1038,25 +1035,25 @@ class _Plan(NamedTuple):
     """F_j(x) = Psi_A(x)^T C_j Psi_B(x) for the k vectors F_j read on the
     same samples (see the module docstring).
 
-    coords are the used coordinates and top the largest label.  With a
-    cut, C is a tuple of one or two degree groups of head rows (_split),
-    low degrees first: each a (k, rows, width) array holding the C_j on
-    those rows and the first width tails, which are all the tails for the
-    first group and those of low enough degree for the second.  With no
-    cut, C holds one row per vector and head is None, and when no
-    coordinate is used it is the column of the constants.  head and tail
-    are each side's runs of (table indices, suffix starts) for _basis: one
-    head run per group, and on the tail side one run per distinct width.
-    buffers are the leading shapes of the Hermite table, Psi_A, Psi_B, the
-    gather buffer and C Psi_B, and block the samples per block.
+    coords are the used coordinates and top the largest label.  C is a
+    tuple of one or two degree groups of head rows (_split), low degrees
+    first: each a (k, rows, width) array holding the C_j on those rows and
+    the first width tails, which are all the tails for the first group and
+    those of low enough degree for the second.  head and tail are each
+    side's runs of (table indices, suffix starts) for _basis: one head run
+    per group, and on the tail side one run per distinct width.  buffers
+    are the leading shapes of the Hermite table, Psi_A, Psi_B, the gather
+    buffer and C Psi_B, and block the samples per block.  When no
+    coordinate is used, C is the column of the constants and head, tail
+    and buffers are empty.
     """
 
     k: int
     coords: list[int]
     top: int
     C: np.ndarray | tuple[np.ndarray, ...]
-    head: list[tuple[np.ndarray, list[int]]] | None
-    tail: list[tuple[np.ndarray, list[int]]] | None
+    head: list[tuple[np.ndarray, list[int]]]
+    tail: list[tuple[np.ndarray, list[int]]]
     buffers: list[tuple[int, ...]]
     block: int
 
@@ -1088,67 +1085,59 @@ def _split(head_deg: list[int], tail_deg: list[int], top_deg: int) -> int | None
 
 
 def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
-    """Cut the coordinates the stores use at the median one, or not at all
-    when the basis rows |A| + |B| would outnumber their distinct labels,
-    and group the heads by degree (_split).  Parts are sorted by entry
-    count, stably, within each run, so the plan is fixed by the stores and
-    their order."""
+    """Cut the coordinates the stores use at the median one, or at the
+    first one, where every head is the empty part, when the basis rows
+    |A| + |B| would outnumber their distinct labels, and group the heads by
+    degree (_split).  Parts are sorted by entry count, stably, within each
+    run, so the plan is fixed by the stores and their order."""
     k = len(stores)
     if any(F.dim != stores[0].dim for F in stores):
         raise DimensionMismatchError(f"dims differ: {[F.dim for F in stores]}")
     coords = _coords(stores)
     if not coords:
         C = np.array([[F._terms.get(EMPTY, 0.0)] for F in stores])
-        return _Plan(k, coords, 0, C, None, None, [], 0)
+        return _Plan(k, coords, 0, C, [], [], [], 0)
     u = len(coords)
     col = {i: r for r, i in enumerate(coords)}
     top = max(m for F in stores for a in F._terms for _, m in a.entries)
-    cut = (coords[u // 2],)
-    labels, heads, tails, cells = {}, {}, {}, []
-    for j, F in enumerate(stores):
-        labels.update(F._terms)
-        for a, c in F._terms.items():
-            n = bisect_left(a.entries, cut)
-            h, t = a.entries[:n], a.entries[n:]
-            heads[h] = tails[t] = None
-            cells.append((j, h, t, c))
-    if len(heads) + len(tails) > len(labels):  # no cut is as small: A = {()}
-        parts = sorted(labels, key=lambda a: len(a.entries))
-        head, tail = None, [_rows([a.entries for a in parts], u, col)]
-        row = {a: r for r, a in enumerate(parts)}
-        C = np.zeros((k, len(parts)))
+    labels = set().union(*(F._terms for F in stores))
+    for cut in coords[u // 2], coords[0]:
+        heads, tails, cells = {}, {}, []
         for j, F in enumerate(stores):
-            C[j, [row[a] for a in F._terms]] = list(F._terms.values())
-        p, q = 0, len(parts)
+            for a, c in F._terms.items():
+                n = bisect_left(a.entries, (cut,))
+                h, t = a.entries[:n], a.entries[n:]
+                heads[h] = tails[t] = None
+                cells.append((j, h, t, c))
+        if len(heads) + len(tails) <= len(labels) or cut == coords[0]:
+            break
+    heads, tails = sorted(heads, key=len), sorted(tails, key=len)
+    head_deg = [sum(m for _, m in h) for h in heads]
+    tail_deg = [sum(m for _, m in t) for t in tails]
+    top_deg = max(a.degree for a in labels)
+    s = _split(head_deg, tail_deg, top_deg)
+    if s is None:
+        head_runs, tail_runs = [heads], [tails]
     else:
-        heads, tails = sorted(heads, key=len), sorted(tails, key=len)
-        head_deg = [sum(m for _, m in h) for h in heads]
-        tail_deg = [sum(m for _, m in t) for t in tails]
-        top_deg = max(a.degree for a in labels)
-        s = _split(head_deg, tail_deg, top_deg)
-        if s is None:
-            head_runs, tail_runs = [heads], [tails]
-        else:
-            head_runs = [[h for h, e in zip(heads, head_deg) if e <= s],
-                         [h for h, e in zip(heads, head_deg) if e > s]]
-            tail_runs = [[t for t, e in zip(tails, tail_deg) if e < top_deg - s],
-                         [t for t, e in zip(tails, tail_deg) if e >= top_deg - s]]
-        heads, tails = list(chain(*head_runs)), list(chain(*tail_runs))
-        head = [_rows(run, u, col) for run in head_runs]
-        tail = [_rows(run, u, col) for run in tail_runs]
-        head_row = {h: r for r, h in enumerate(heads)}
-        tail_row = {t: r for r, t in enumerate(tails)}
-        p, q = len(heads), len(tails)
-        full = np.zeros(k * p * q)
-        full[[(j * p + head_row[h]) * q + tail_row[t] for j, h, t, _ in cells]] = \
-            [c for *_, c in cells]
-        full = full.reshape(k, p, q)
-        rows = len(head_runs[0])
-        C = (np.ascontiguousarray(full[:, :rows]),)
-        if s is not None:
-            C += (full[:, rows:, :len(tail_runs[0])].copy(),)
-    runs = tail if head is None else head + tail
-    spare = max((len(idx) - starts[0] for idx, starts in runs if starts), default=0)
+        head_runs = [[h for h, e in zip(heads, head_deg) if e <= s],
+                     [h for h, e in zip(heads, head_deg) if e > s]]
+        tail_runs = [[t for t, e in zip(tails, tail_deg) if e < top_deg - s],
+                     [t for t, e in zip(tails, tail_deg) if e >= top_deg - s]]
+    heads, tails = list(chain(*head_runs)), list(chain(*tail_runs))
+    head = [_rows(run, u, col) for run in head_runs]
+    tail = [_rows(run, u, col) for run in tail_runs]
+    head_row = {h: r for r, h in enumerate(heads)}
+    tail_row = {t: r for r, t in enumerate(tails)}
+    p, q = len(heads), len(tails)
+    full = np.zeros(k * p * q)
+    full[[(j * p + head_row[h]) * q + tail_row[t] for j, h, t, _ in cells]] = \
+        [c for *_, c in cells]
+    full = full.reshape(k, p, q)
+    rows = len(head_runs[0])
+    C = (np.ascontiguousarray(full[:, :rows]),)
+    if s is not None:
+        C += (full[:, rows:, :len(tail_runs[0])].copy(),)
+    spare = max((len(idx) - starts[0] for idx, starts in head + tail if starts), default=0)
     buffers = [(top + 1, u), (p,), (q,), (spare,), (k * p,)]
     block = max(1, _EVAL_CELLS // sum(math.prod(b) for b in buffers))
     return _Plan(k, coords, top, C, head, tail, buffers, block)
@@ -1239,18 +1228,14 @@ def _contract(plan: _Plan, x: np.ndarray, table, dtype=float) -> np.ndarray:
         table(xs, top, tab)
         flat_tab = tab.reshape(-1, stop - start)
         _basis(flat_tab, tail, psi_b, factor)
-        if head is None:
-            for c, o in zip(C, out[:, start:stop]):
-                np.dot(c, psi_b, out=o)  # matmul is 5x slower on one row
-        else:
-            _basis(flat_tab, head, psi_a, factor)
-            prods, first = prod.reshape(k, -1, stop - start), 0
-            for group in C:
-                _, rows, width = group.shape
-                np.matmul(group, psi_b[:width], out=prods[:, first:first + rows])
-                first += rows
-            for m, o in zip(prods, out[:, start:stop]):
-                np.einsum("ij,ij->j", psi_a, m, out=o)
+        _basis(flat_tab, head, psi_a, factor)
+        prods, first = prod.reshape(k, -1, stop - start), 0
+        for group in C:
+            _, rows, width = group.shape
+            np.matmul(group, psi_b[:width], out=prods[:, first:first + rows])
+            first += rows
+        for m, o in zip(prods, out[:, start:stop]):
+            np.einsum("ij,ij->j", psi_a, m, out=o)
     if len(flat) <= 20 * _EVAL_CELLS:  # _EVAL_CELLS complex entries and their columns
         _kept.block = flat
     return out

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chaos import ChaosVector, _plan, _values, evaluate
-from .errors import MismatchError
+from .errors import DomainError, MismatchError
 from .sampling import chunk_layout, chunk_normals
 
 ZSCORE_THRESHOLD = 3.0
@@ -57,7 +57,9 @@ def _mean_rows(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
     fn maps an (m, dim) block to k rows of m values (one row may come
     flat) and must be a pure function; it may be called from several
     threads at once when workers is set.  Each chunk is drawn once for all
-    k rows, and each row is reduced on its own.
+    k rows, and each row is reduced on its own.  Raises DomainError if a
+    mean or variance is not finite: a chunk sum that overflows or meets a
+    NaN makes the total, and so the mean or variance, non-finite too.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -67,7 +69,8 @@ def _mean_rows(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
         idx, rows = item
         x = chunk_normals(dim, seed, idx, rows)
         v = np.asarray(fn(x), dtype=float).reshape(-1, rows)
-        return [(float(np.sum(r)), float(np.sum(r * r)), rows) for r in v]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [(float(np.sum(r)), float(np.sum(r * r)), rows) for r in v]
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -78,9 +81,10 @@ def _mean_rows(fn: Callable[[np.ndarray], np.ndarray], dim: int, n: int,
     out = []
     for row in zip(*parts):
         s, ss, count = _pairwise_sum(row)
-        mean = s / count
-        var = max(0.0, (ss - s * s / count) / (count - 1))
-        out.append(Estimate(mean, math.sqrt(var / count), count, seed))
+        mean, var = s / count, (ss - s * s / count) / (count - 1)
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise DomainError("Monte Carlo sum is not finite (NaN or overflow to inf)")
+        out.append(Estimate(mean, math.sqrt(max(0.0, var) / count), count, seed))
     return out
 
 
@@ -120,9 +124,14 @@ def estimate_lp_norm(F: ChaosVector, p: float, n: int, seed: int,
     For m = mean of |F|^p with SE s, the norm m^{1/p} carries
     SE s * (1/p) * m^{1/p - 1}.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    raw = mean_estimate(lambda x: np.abs(evaluate(F, x)) ** p, F.dim, n, seed, workers)
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1")
+
+    def power(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflow to inf is _mean_rows' DomainError
+            return np.abs(evaluate(F, x)) ** p
+
+    raw = mean_estimate(power, F.dim, n, seed, workers)
     if raw.value <= 0.0:
         return Estimate(0.0, 0.0, raw.n_samples, seed)
     value = raw.value ** (1.0 / p)

@@ -144,12 +144,32 @@ def test_joint_plan_takes_both_routes(cut):
     else:  # two sparse vectors on disjoint coordinates of a wide dim
         vectors = (ChaosVector(40, 4, {MultiIndex([(3, 2), (17, 1)]): 0.5, EMPTY: 1.0}),
                    ChaosVector(40, 4, {MultiIndex([(25, 3)]): -2.0, MultiIndex([(31, 1)]): 1.5}))
-    assert (chaos._plan(vectors).head is not None) == cut
+    plan = chaos._plan(vectors)
+    if cut:
+        assert sum(len(idx) for idx, _ in plan.head) > 1
+    else:  # one head row, the empty part: label 0, H_0 = 1, with no further factor
+        (idx, starts), = plan.head
+        assert idx.tolist() == [[0]] and starts == []
     x = np.random.default_rng(3).normal(size=(3000, vectors[0].dim))
     rows = chaos._evaluate(vectors, x)
     for F, got in zip(vectors, rows):
         assert_matches_reference(F, x, got, rows=range(0, 3000, 97))
         assert np.max(np.abs(got - evaluate(F, x))) <= 1e-12 * (np.max(np.abs(got)) + 1.0)
+
+
+@pytest.mark.parametrize("F", [
+    ChaosVector(1, 8, {MultiIndex([(0, m)]): (-0.7) ** m for m in range(9)}),
+    ChaosVector(60, 4, {MultiIndex([(3, 2), (41, 1)]): 0.5, MultiIndex([(17, 4)]): -1.5,
+                        MultiIndex([(29, 1)]): 2.0, MultiIndex([(55, 3)]): 0.25, EMPTY: 1.0}),
+], ids=["one_coordinate", "sparse_wide"])
+def test_no_cut_plan_across_block_edges(F):
+    plan = chaos._plan((F,))
+    assert [g.shape[:2] for g in plan.C] == [(1, 1)]  # the one head is the empty part
+    n = 3 * plan.block + 7
+    x = np.random.default_rng(11).normal(scale=1.5, size=(n, F.dim))
+    got = evaluate(F, x)
+    edges = [plan.block, 2 * plan.block, 3 * plan.block]
+    assert_matches_reference(F, x, got, rows=[0, n - 1] + [e + i for e in edges for i in (-1, 0)])
 
 
 E4 = exponential_vector([0.6, -0.4, 0.3, 0.2], 8)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from wickchaos.chaos import ChaosVector, inner_product, l2_norm
-from wickchaos.errors import MismatchError
+from wickchaos.errors import DomainError, MismatchError
 from wickchaos.montecarlo import (ZSCORE_THRESHOLD, Estimate,
                                   estimate_expectation, estimate_lp_norm,
                                   estimate_pair_expectation, mean_estimate,
                                   zscore_check)
 from wickchaos.multiindex import MultiIndex
+from wickchaos.renormalization import PolySeries, wick_order_icopy_mc
 
 
 def random_chaos(rng, dim, degree, max_order=None, n_terms=5):
@@ -54,8 +55,30 @@ def test_validation():
     with pytest.raises(ValueError):
         mean_estimate(lambda x: x[:, 0], dim=1, n=1, seed=0)
     F = ChaosVector.constant(1.0, 1, 1)
-    with pytest.raises(ValueError):
-        estimate_lp_norm(F, 0.5, n=100, seed=0)
+    for p in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must be"):
+            estimate_lp_norm(F, p, n=100, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_sum_is_loud():
+    # 1e160 H_1 is finite at every sample, but its square overflows: the
+    # sum of squares is inf, which must not read as a zero standard error
+    F = ChaosVector(1, 1, {MultiIndex([(0, 1)]): 1e160})
+    for estimate in (lambda: estimate_expectation(F, 4096, 0),
+                     lambda: estimate_expectation(F, 3 * (1 << 16) + 5, 0, workers=2),
+                     lambda: estimate_lp_norm(F, 2.0, 4096, 0),
+                     lambda: mean_estimate(lambda x: np.full(len(x), np.nan), 1, 100, 0),
+                     lambda: wick_order_icopy_mc(
+                         PolySeries(1, {MultiIndex([(0, 200)]): 1.0}, truncation=200),
+                         None, [[30.0]], 1000, 1)):
+        with pytest.raises(DomainError, match="not finite"):
+            estimate()
+    # both sums of 1e151 + 1e140 H_1 over 4096 samples are finite, but the
+    # square of the sum in the variance is not
+    G = ChaosVector(1, 1, {MultiIndex([]): 1e151, MultiIndex([(0, 1)]): 1e140})
+    with pytest.raises(DomainError, match="not finite"):
+        estimate_expectation(G, 4096, 0)
 
 
 def test_estimate_expectation_constant_has_zero_se():
