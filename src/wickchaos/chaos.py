@@ -144,7 +144,8 @@ is at the median used coordinate unless that gives more basis rows
 every head is the empty part, A = {()}, Psi_A is a row of ones and C is
 the coefficient row, so sparse and wide vectors cost what the basis matrix
 costs.  Each basis row is the product of its own entries' Hermite rows,
-gathered from one table per block.
+gathered from one table per block.  A constant or the zero vector is read
+at coordinate 0, through the empty part, whose table row is H_0 = 1.
 
 k vectors read on the same samples share one plan: the union of their
 coordinates, one cut by the same rule, the union of their head parts and
@@ -1043,15 +1044,14 @@ class _Plan(NamedTuple):
     side's runs of (table indices, suffix starts) for _basis: one head run
     per group, and on the tail side one run per distinct width.  buffers
     are the leading shapes of the Hermite table, Psi_A, Psi_B, the gather
-    buffer and C Psi_B, and block the samples per block.  When no
-    coordinate is used, C is the column of the constants and head, tail
-    and buffers are empty.
+    buffer and C Psi_B, and block the samples per block.  None is empty: a
+    store with no used coordinate is read at coordinate 0.
     """
 
     k: int
     coords: list[int]
     top: int
-    C: np.ndarray | tuple[np.ndarray, ...]
+    C: tuple[np.ndarray, ...]
     head: list[tuple[np.ndarray, list[int]]]
     tail: list[tuple[np.ndarray, list[int]]]
     buffers: list[tuple[int, ...]]
@@ -1088,18 +1088,16 @@ def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
     """Cut the coordinates the stores use at the median one, or at the
     first one, where every head is the empty part, when the basis rows
     |A| + |B| would outnumber their distinct labels, and group the heads by
-    degree (_split).  Parts are sorted by entry count, stably, within each
-    run, so the plan is fixed by the stores and their order."""
+    degree (_split); stores that use none are read at coordinate 0.  Parts
+    are sorted by entry count, stably, within each run, so the plan is
+    fixed by the stores and their order."""
     k = len(stores)
     if any(F.dim != stores[0].dim for F in stores):
         raise DimensionMismatchError(f"dims differ: {[F.dim for F in stores]}")
-    coords = _coords(stores)
-    if not coords:
-        C = np.array([[F._terms.get(EMPTY, 0.0)] for F in stores])
-        return _Plan(k, coords, 0, C, [], [], [], 0)
+    coords = _coords(stores) or [0]
     u = len(coords)
     col = {i: r for r, i in enumerate(coords)}
-    top = max(m for F in stores for a in F._terms for _, m in a.entries)
+    top = max((m for F in stores for a in F._terms for _, m in a.entries), default=0)
     labels = set().union(*(F._terms for F in stores))
     for cut in coords[u // 2], coords[0]:
         heads, tails, cells = {}, {}, []
@@ -1111,10 +1109,10 @@ def _bilinear(stores: tuple[_Store, ...]) -> _Plan:
                 cells.append((j, h, t, c))
         if len(heads) + len(tails) <= len(labels) or cut == coords[0]:
             break
-    heads, tails = sorted(heads, key=len), sorted(tails, key=len)
+    heads, tails = sorted(heads or [()], key=len), sorted(tails or [()], key=len)
     head_deg = [sum(m for _, m in h) for h in heads]
     tail_deg = [sum(m for _, m in t) for t in tails]
-    top_deg = max(a.degree for a in labels)
+    top_deg = max((a.degree for a in labels), default=0)
     s = _split(head_deg, tail_deg, top_deg)
     if s is None:
         head_runs, tail_runs = [heads], [tails]
@@ -1209,8 +1207,6 @@ def _contract(plan: _Plan, x: np.ndarray, table, dtype=float) -> np.ndarray:
     """
     k, coords, top, C, head, tail, buffers, block = plan
     n = x.shape[0]
-    if not coords:
-        return np.repeat(C, n, axis=1)
     out = np.empty((k, n), dtype)
     u, span = len(coords), min(block, n)
     lead = -(-8 * u * span // 64) * 64  # the columns' bytes; the buffers start on a cache line

@@ -20,24 +20,26 @@ The pairing count hu_meyer_coeff(n, k) = n! / (2^k k! (n-2k)!), the ways
 to pick k disjoint pairs from n slots, gives both changes of basis
 (power_to_hermite, hermite_to_power), the Hu-Meyer formula of stratonovich
 and the imaginary-copy moments E[(x + iY)^n] = sigma^n H_n(x / sigma) of
-renormalization.  Hermite linearization (H_a H_b) has no table here: the
+renormalization.  The changes of basis are cached read-only: a write
+raises TypeError.  Hermite linearization (H_a H_b) has no table here: the
 ordinary product in chaos runs its contraction-index form directly.
 
 hermite_eval caps its order at DEFAULT_MAX_ORDER = 64 unless the caller
 passes another cap, and factorial at ORDER_LIMIT = 170, the largest n whose
 n! is a double; past either an OrderOverflowError is raised.  Neither cap
 bounds the rest of the package: the exact products and evaluations run past
-order 170.
+order 170.  hermite_eval raises DomainError on a value that is not finite.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import OrderOverflowError
+from .errors import DomainError, OrderOverflowError
 
 DEFAULT_MAX_ORDER = 64
 
@@ -69,12 +71,16 @@ def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
     Raises
     ------
     OrderOverflowError if n exceeds the cap.
+    DomainError if the value is not finite (x is inf, or H_n overflows).
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
     if n > max_order:
         raise OrderOverflowError(f"Hermite order {n} exceeds max order {max_order}")
-    return float(hermite_rows(x, n)[n])
+    out = float(hermite_rows(x, n)[n])
+    if not math.isfinite(out):
+        raise DomainError(f"H_{n}({x}) is not finite (NaN or overflow to inf)")
+    return out
 
 
 def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -132,18 +138,19 @@ def hu_meyer_coeff(n: int, k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def power_to_hermite(n: int) -> dict[int, float]:
+def power_to_hermite(n: int) -> MappingProxyType[int, float]:
     """Expansion of the monomial x^n in the Hermite basis.
 
     x^n = sum_{k <= n/2} hu_meyer_coeff(n, k) H_{n-2k}(x).
     """
-    return {n - 2 * k: hu_meyer_coeff(n, k) for k in range(n // 2 + 1)}
+    return MappingProxyType({n - 2 * k: hu_meyer_coeff(n, k) for k in range(n // 2 + 1)})
 
 
 @lru_cache(maxsize=None)
-def hermite_to_power(n: int) -> dict[int, float]:
+def hermite_to_power(n: int) -> MappingProxyType[int, float]:
     """Monomial coefficients of H_n: the explicit alternating sum.
 
     H_n(x) = sum_{k <= n/2} (-1)^k hu_meyer_coeff(n, k) x^{n-2k}.
     """
-    return {n - 2 * k: (-1) ** k * hu_meyer_coeff(n, k) for k in range(n // 2 + 1)}
+    return MappingProxyType({n - 2 * k: (-1) ** k * hu_meyer_coeff(n, k)
+                             for k in range(n // 2 + 1)})

@@ -97,8 +97,8 @@ def _sigmas(dim: int, variances: Sequence[float] | None) -> list[float]:
             f"{len(variances)} variances for dim {dim}")
     out = []
     for v in variances:
-        if v <= 0:
-            raise DomainError(f"variance must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise DomainError(f"variance must be positive and finite, got {v}")
         out.append(math.sqrt(float(v)))
     return out
 
@@ -203,7 +203,8 @@ def wick_order_icopy_mc(p: PolySeries, variances: Sequence[float] | None,
     tables = [_powers(x[plan.coords, None], sig[plan.coords, None]) for x in pts]
 
     def rows(y: np.ndarray) -> np.ndarray:
-        return np.array([_contract(plan, y, table, complex)[0].real for table in tables])
+        with np.errstate(over="ignore", invalid="ignore"):  # _mean_rows raises on NaN or inf
+            return np.array([_contract(plan, y, table, complex)[0].real for table in tables])
 
     return _mean_rows(rows, p.dim, n, seed)
 

@@ -80,6 +80,19 @@ def _parse_exponent_pairs(raw: Any, dim: int, path: str) -> MultiIndex:
     return MultiIndex(tuple(entries))
 
 
+def _header(obj: Any, path: str, cap: str, body: str) -> tuple[dict, str, int, int]:
+    """The object of fields dim, cap and body, its fields' path prefix, dim and cap."""
+    top = _require_object(obj, path, ("dim", cap, body))
+    pre = f"{path}." if path else ""
+    dim = _require_int(top["dim"], f"{pre}dim")
+    if dim < 1:
+        raise SchemaError("dim must be >= 1", f"{pre}dim")
+    order = _require_int(top[cap], f"{pre}{cap}")
+    if order < 0:
+        raise SchemaError(f"{cap} must be >= 0", f"{pre}{cap}")
+    return top, pre, dim, order
+
+
 # -- ChaosVector and PolySeries: one codec ----------------------------------
 
 
@@ -93,14 +106,7 @@ def _store_from_obj(obj: Any, path: str, cls: type[ChaosVector] | type[PolySerie
                     cap: str, label: str) -> ChaosVector | PolySeries:
     """Read a store document whose degree cap is the field cap and whose
     terms carry their multi-index in the field label."""
-    top = _require_object(obj, path, ("dim", cap, "terms"))
-    pre = f"{path}." if path else ""
-    dim = _require_int(top["dim"], f"{pre}dim")
-    if dim < 1:
-        raise SchemaError("dim must be >= 1", f"{pre}dim")
-    order = _require_int(top[cap], f"{pre}{cap}")
-    if order < 0:
-        raise SchemaError(f"{cap} must be >= 0", f"{pre}{cap}")
+    top, pre, dim, order = _header(obj, path, cap, "terms")
     terms: dict[MultiIndex, float] = {}
     for j, item in enumerate(_require_list(top["terms"], f"{pre}terms")):
         tpath = f"{pre}terms[{j}]"
@@ -141,14 +147,7 @@ def tensor_to_obj(f: SymTensor) -> dict:
 
 
 def tensor_from_obj(obj: Any, path: str = "") -> SymTensor:
-    top = _require_object(obj, path, ("dim", "order", "values"))
-    pre = f"{path}." if path else ""
-    dim = _require_int(top["dim"], f"{pre}dim")
-    if dim < 1:
-        raise SchemaError("dim must be >= 1", f"{pre}dim")
-    order = _require_int(top["order"], f"{pre}order")
-    if order < 0:
-        raise SchemaError("order must be >= 0", f"{pre}order")
+    top, pre, dim, order = _header(obj, path, "order", "values")
     values: dict[tuple[int, ...], float] = {}
     for j, item in enumerate(_require_list(top["values"], f"{pre}values")):
         vpath = f"{pre}values[{j}]"

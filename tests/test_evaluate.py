@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import wickchaos.chaos as chaos
 from wickchaos.chaos import ChaosVector, evaluate, evaluate_at, exponential_vector
 from wickchaos.errors import DomainError
-from wickchaos.montecarlo import estimate_lp_norm, estimate_pair_expectation
+from wickchaos.montecarlo import (estimate_expectation, estimate_lp_norm,
+                                  estimate_pair_expectation, mean_estimate)
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries, wick_exp_square, wick_order_icopy_mc
 from wickchaos.sampling import chunk_layout, chunk_normals
@@ -212,6 +213,53 @@ def test_empty_and_constant_vectors():
     assert np.array_equal(evaluate(ChaosVector.zero(3, 4), x), np.zeros(7))
     assert np.array_equal(evaluate(ChaosVector.constant(-2.5, 3, 4), x), np.full(7, -2.5))
     assert evaluate(ChaosVector.constant(1.0, 3, 4), np.zeros((0, 3))).shape == (0,)
+
+
+CONSTANTS = [ChaosVector.constant(-2.5, 3, 4), ChaosVector.zero(3, 4)]
+
+
+def test_a_store_with_no_used_coordinate_is_read_at_coordinate_0():
+    # the one plan shape: the empty part at coordinate 0, table row H_0 = 1
+    assert chaos._plan((ChaosVector.constant(-2.5, 3, 4),)).coords == [0]
+    plan = chaos._plan((ChaosVector.zero(3, 4),))
+    assert plan.coords == [0] and plan.top == 0
+    for runs in plan.head, plan.tail:
+        (idx, starts), = runs
+        assert idx.tolist() == [[0]] and starts == []
+    C, = plan.C
+    assert C.shape == (1, 1, 1) and C.tobytes() == np.zeros(1).tobytes()
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["alone", "with_a_cut_vector"])
+def test_constant_and_zero_rows_are_bitwise_across_block_edges(joint):
+    cut = (exponential_vector([0.5, -0.3, 0.2], 4),) if joint else ()
+    for F in CONSTANTS:
+        vectors = (F,) + cut
+        block = chaos._plan(vectors).block
+        x = np.random.default_rng(13).normal(size=(block + 1, 3))
+        if not joint:  # only the table row H_0 = 1 is read: any sample gives the constant
+            x[::4], x[1::4], x[2::4] = np.nan, np.inf, -np.inf
+        for n in (1, block - 1, block, block + 1):
+            got = chaos._evaluate(vectors, x[:n])[0]
+            assert got.tobytes() == np.full(n, F.coeff(EMPTY)).tobytes()
+
+
+def test_constant_estimates_are_the_mean_of_its_value():
+    # each sample reads c * 1.0 * 1.0 = c, so the estimate is that of a full column
+    K, Z = CONSTANTS
+    n = (1 << 17) + 5
+
+    def column(c):
+        return lambda x: np.full(len(x), c)
+
+    want = mean_estimate(column(-2.5), 3, n, seed=8)
+    want_pair = mean_estimate(column(-2.5 * -2.5), 3, n, seed=8)
+    for workers in (1, 2):
+        assert estimate_expectation(K, n, seed=8, workers=workers) == want
+        assert estimate_pair_expectation(K, K, n, seed=8, workers=workers) == want_pair
+        zero = estimate_pair_expectation(K, Z, n, seed=8, workers=workers)
+        assert (zero.value, zero.std_error) == (0.0, 0.0)
+        assert math.copysign(1.0, zero.value) == 1.0
 
 
 def block_rows(F, x, monkeypatch):

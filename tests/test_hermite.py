@@ -1,14 +1,19 @@
 """Probabilists' Hermite basis, pinned against independent formulas."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from wickchaos.chaos import ChaosVector, ordinary_product
-from wickchaos.errors import OrderOverflowError
+from wickchaos.errors import DomainError, OrderOverflowError
 from wickchaos.hermite import (ORDER_LIMIT, factorial, hermite_eval,
                                hermite_rows, hermite_shift, hermite_to_power,
                                power_to_hermite)
-from wickchaos.multiindex import MultiIndex
+from wickchaos.multiindex import EMPTY, MultiIndex
+from wickchaos.renormalization import (PolySeries, chaos_to_poly, poly_to_chaos,
+                                       wick_order_icopy_exact)
 
 from helpers import expect_1d, gauss_rule, hermite_np, hermite_sum
 
@@ -148,6 +153,38 @@ def test_power_hermite_conversions():
         x = float(rng.normal())
         val = sum(c * hermite_eval(k, x) for k, c in power_to_hermite(n).items())
         assert abs(val - x ** n) <= 1e-9 * max(1.0, abs(x) ** n)
+
+
+def test_cached_expansions_are_read_only():
+    # the caches hand out their own values: a write must fail, not change
+    # every later conversion
+    with pytest.raises(TypeError):
+        power_to_hermite(3)[1] = 99.0
+    with pytest.raises(TypeError):
+        del hermite_to_power(2)[0]
+    with pytest.raises(AttributeError):
+        hermite_to_power(2).clear()
+    x3 = PolySeries(1, {MultiIndex([(0, 3)]): 1.0}, 3)
+    assert poly_to_chaos(x3).terms == {MultiIndex([(0, 1)]): 3.0, MultiIndex([(0, 3)]): 1.0}
+    h2 = ChaosVector(1, 2, {MultiIndex([(0, 2)]): 1.0})
+    assert chaos_to_poly(h2).terms == {MultiIndex([(0, 2)]): 1.0, EMPTY: -1.0}
+    x2 = PolySeries(1, {MultiIndex([(0, 2)]): 1.0}, 2)
+    assert wick_order_icopy_exact(x2, None, [0.5]) == -0.75
+
+
+@pytest.mark.parametrize("n, x", [(60, 1e6), (64, 1e5), (3, math.inf), (3, -math.inf),
+                                  (2, 1e200), (1, math.nan)])
+def test_eval_is_loud_when_not_finite(n, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            hermite_eval(n, x)
+
+
+def test_eval_of_order_0_is_one_everywhere():
+    for x in (math.nan, math.inf, -math.inf, 1e300):
+        assert hermite_eval(0, x) == 1.0
+    assert hermite_eval(60, 1e5) == float(hermite_rows(np.array(1e5), 60)[60])
 
 
 def test_mean_of_hermite_is_zero():

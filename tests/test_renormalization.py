@@ -211,6 +211,51 @@ def test_icopy_mc_draws_each_chunk_once(monkeypatch):
     assert drawn == [idx for idx, _ in chunk_layout(n)] and len(drawn) > 1
 
 
+def test_icopy_mc_of_a_constant_and_of_zero():
+    # both are read at coordinate 0 through H_0 = 1: every sample is c;
+    # 1.5 and its sums are exact, so the mean is 1.5 with no spread
+    pts = [[0.5, -0.25], [1e3, -1e3]]
+    for c in (1.5, 0.0):
+        p = PolySeries.constant(c, 2, 6) if c else PolySeries(2, {}, 6)
+        for est in wick_order_icopy_mc(p, [1.0, 2.0], pts, n=70000, seed=9):
+            assert (est.value, est.std_error, est.n_samples) == (c, 0.0, 70000)
+            assert math.copysign(1.0, est.value) == 1.0
+    p = PolySeries.constant(0.1, 2, 6)
+    want = montecarlo.mean_estimate(lambda x: np.full(len(x), 0.1), 2, 70000, seed=9)
+    assert wick_order_icopy_mc(p, None, pts, n=70000, seed=9) == [want, want]
+
+
+X6 = PolySeries(1, {MultiIndex([(0, 6)]): 1.0}, 6)
+
+
+@pytest.mark.parametrize("variance, point", [(1e120, 0.5), (1.0, 1e60)],
+                         ids=["wide_copy", "far_point"])
+def test_icopy_overflow_is_one_domain_error(variance, point):
+    # the complex powers overflow: DomainError from the estimator as from
+    # the closed form, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="Monte Carlo sum"):
+            wick_order_icopy_mc(X6, [variance], [[point]], n=1000, seed=1)
+        with pytest.raises(DomainError):
+            wick_order_icopy_exact(X6, [variance], [point])
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_variances_must_be_positive_and_finite(variance):
+    x = PolySeries(1, {MultiIndex([(0, 1)]): 1.0}, 6)
+    calls = (lambda: wick_order_poly(x, [variance]),
+             lambda: series_condition(x, [variance]),
+             lambda: wick_order_icopy_exact(x, [variance], [0.5]),
+             lambda: wick_order_icopy_mc(x, [variance], [[0.5]], n=100, seed=1),
+             lambda: renorm_product_check(x, x, [variance]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="variance must be positive and finite"):
+                call()
+
+
 def test_series_condition_is_squared_norm():
     rng = np.random.default_rng(3)
     for _ in range(30):

@@ -13,7 +13,7 @@ from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries
 from wickchaos.serialization import (chaos_from_obj, chaos_to_obj, dumps,
                                      loads_chaos, loads_poly, loads_tensor,
-                                     poly_to_obj, tensor_from_obj,
+                                     poly_from_obj, poly_to_obj, tensor_from_obj,
                                      tensor_to_obj)
 from wickchaos.tensors import SymTensor
 
@@ -173,6 +173,30 @@ def test_poly_reader_names_paths():
     assert msg.startswith("terms[0].exps:")
     msg = err(loads_poly, base % (-1, ""))
     assert msg.startswith("truncation:")
+
+
+@pytest.mark.parametrize("load, cap, body", [(chaos_from_obj, "max_order", "terms"),
+                                             (poly_from_obj, "truncation", "terms"),
+                                             (tensor_from_obj, "order", "values")],
+                         ids=["chaos", "poly", "tensor"])
+@pytest.mark.parametrize("path", ["", "doc"])
+def test_document_headers_name_their_paths(load, cap, body, path):
+    pre = f"{path}." if path else ""
+
+    def msg(doc):
+        with pytest.raises(SchemaError) as info:
+            load(doc, path)
+        return str(info.value)
+
+    good = {"dim": 1, cap: 2, body: []}
+    assert msg([]) == f"{path}: expected an object, got list"
+    assert msg({"dim": 1, cap: 2}) == f"{path or body}: missing field {body!r}"
+    assert msg({**good, "extra": 1}) == f"{pre}extra: unknown field 'extra'"
+    assert msg({**good, "dim": 0}) == f"{pre}dim: dim must be >= 1"
+    assert msg({**good, "dim": 1.0}) == f"{pre}dim: expected an integer, got 1.0"
+    assert msg({**good, cap: -1}) == f"{pre}{cap}: {cap} must be >= 0"
+    assert msg({**good, cap: True}) == f"{pre}{cap}: expected an integer, got True"
+    assert msg({**good, body: {}}) == f"{pre}{body}: expected an array, got dict"
 
 
 def test_tensor_index_validation():
