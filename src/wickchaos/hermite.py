@@ -71,7 +71,7 @@ def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
     Raises
     ------
     OrderOverflowError if n exceeds the cap.
-    DomainError if the value is not finite (x is inf, or H_n overflows).
+    DomainError if the value is not finite (x is NaN or inf, or H_n overflows).
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
