@@ -14,6 +14,15 @@ exact value.  run_checks derives each row's seed (seed + 101 * index in
 CHECKS), folds the yielded gaps into their maximum in the order they come,
 and builds the CheckRow.  A NaN gap is never folded away: it makes the
 row's estimate NaN, and NaN fails every tolerance.
+
+The random corpora (random_chaos, random_poly, random_tensor,
+random_variances) draw whole arrays, a few numpy calls per object, never
+one per term: a sized draw costs as much as a scalar one, and three draws
+per term cost more than a small Wick product.  _random_terms draws the
+degrees, then every basis index, then the coefficients, and cuts each
+label from the index list; random_tensor draws one index array and one
+value array.  A label drawn twice sums its coefficients, a tensor entry
+keeps its last value, and both keep first-occurrence order.
 """
 
 from __future__ import annotations
@@ -70,11 +79,18 @@ def _rel_gap(a: float, b: float) -> float:
 
 def _random_terms(rng: np.random.Generator, dim: int, degree: int,
                   n_terms: int) -> dict[MultiIndex, float]:
+    """n_terms labels of degree 0..degree over dim coordinates with U(-1, 1)
+    coefficients, drawn as three arrays: degrees, indices, coefficients.
+    A label drawn twice sums its coefficients."""
+    degrees = rng.integers(0, degree + 1, size=n_terms).tolist()
+    indices = rng.integers(0, dim, size=sum(degrees)).tolist()
+    coeffs = rng.uniform(-1.0, 1.0, size=n_terms).tolist()
     terms: dict[MultiIndex, float] = {}
-    for _ in range(n_terms):
-        deg = int(rng.integers(0, degree + 1))
-        alpha = MultiIndex.from_indices(int(i) for i in rng.integers(0, dim, size=deg))
-        terms[alpha] = terms.get(alpha, 0.0) + float(rng.uniform(-1.0, 1.0))
+    end = 0
+    for deg, c in zip(degrees, coeffs):
+        alpha = MultiIndex.from_indices(indices[end:end + deg])
+        end += deg
+        terms[alpha] = terms.get(alpha, 0.0) + c
     return terms
 
 
@@ -85,11 +101,12 @@ def random_chaos(rng: np.random.Generator, dim: int, degree: int,
 
 def random_tensor(rng: np.random.Generator, dim: int, order: int,
                   n_entries: int) -> SymTensor:
-    vals: dict[tuple[int, ...], float] = {}
-    for _ in range(n_entries):
-        t = tuple(sorted(int(i) for i in rng.integers(0, dim, size=order)))
-        vals[t] = float(rng.uniform(-1.0, 1.0))
-    return SymTensor(dim, order, vals)
+    """n_entries sorted index tuples with U(-1, 1) values, drawn as one
+    (n_entries, order) index array and one value array.  A tuple drawn
+    twice keeps its last value."""
+    index = np.sort(rng.integers(0, dim, size=(n_entries, order)), axis=1)
+    values = rng.uniform(-1.0, 1.0, size=n_entries)
+    return SymTensor(dim, order, dict(zip(map(tuple, index.tolist()), values.tolist())))
 
 
 def random_poly(rng: np.random.Generator, dim: int, degree: int,
@@ -99,7 +116,7 @@ def random_poly(rng: np.random.Generator, dim: int, degree: int,
 
 
 def random_variances(rng: np.random.Generator, dim: int) -> list[float]:
-    return [float(rng.uniform(0.3, 2.0)) for _ in range(dim)]
+    return rng.uniform(0.3, 2.0, size=dim).tolist()
 
 
 # -- exact identities: each yields its gaps ----------------------------------

@@ -28,7 +28,10 @@ hermite_eval caps its order at DEFAULT_MAX_ORDER = 64 unless the caller
 passes another cap, and factorial at ORDER_LIMIT = 170, the largest n whose
 n! is a double; past either an OrderOverflowError is raised.  Neither cap
 bounds the rest of the package: the exact products and evaluations run past
-order 170.  hermite_eval raises DomainError on a value that is not finite.
+order 170.  hermite_eval raises DomainError on a value that is not finite,
+and so do hu_meyer_coeff (from n = 297 on, where n! / (2^k k! (n-2k)!)
+passes the double range for some k) and hermite_shift (a shift that is not
+finite, or a coefficient or binomial C(n, k) that is not).
 """
 
 from __future__ import annotations
@@ -117,24 +120,45 @@ def hermite_shift(n: int, a: float) -> dict[int, float]:
     """Coefficients of H_n(x + a) in the Hermite basis of x.
 
     H_n(x + a) = sum_k C(n,k) a^k H_{n-k}(x); the zero shift is the identity.
+    DomainError if a is NaN or infinite, or if a coefficient is not a
+    finite double.
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
+    if not math.isfinite(a):
+        raise DomainError(f"hermite_shift({n}, {a}): the shift is not finite")
     if a == 0.0:
         return {n: 1.0}
     out: dict[int, float] = {}
     pw = 1.0
-    for k in range(n + 1):
-        out[n - k] = math.comb(n, k) * pw
+    for k, c in enumerate(_binomials(n)):
+        out[n - k] = c * pw
         pw *= a
+    # a is finite, so each coefficient is finite or +-inf: a finite sum rules
+    # inf out, and only a sum that overflows needs the second look
+    if not math.isfinite(sum(out.values())) and math.inf in map(abs, out.values()):
+        raise DomainError(f"hermite_shift({n}, {a}): a coefficient overflows to inf")
     return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[float, ...]:
+    """C(n, k) for k = 0..n, each rounded once to a double.  translate asks
+    for the same few orders on every call."""
+    try:
+        return tuple(float(math.comb(n, k)) for k in range(n + 1))
+    except OverflowError:
+        raise DomainError(f"C({n}, {n // 2}) exceeds the double range") from None
 
 
 def hu_meyer_coeff(n: int, k: int) -> float:
     """n! / (2^k k! (n-2k)!), the count of pairings of k slot-pairs."""
     if n < 0 or k < 0 or 2 * k > n:
         raise ValueError(f"need 0 <= 2k <= n, got n={n}, k={k}")
-    return math.factorial(n) / (2 ** k * math.factorial(k) * math.factorial(n - 2 * k))
+    try:
+        return math.factorial(n) / (2 ** k * math.factorial(k) * math.factorial(n - 2 * k))
+    except OverflowError:
+        raise DomainError(f"hu_meyer_coeff(n={n}, k={k}) exceeds the double range") from None
 
 
 @lru_cache(maxsize=None)

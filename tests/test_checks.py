@@ -1,12 +1,15 @@
 """The named identity battery behind the check command."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from wickchaos import checks
+from wickchaos.chaos import SymTensor
 from wickchaos.checks import CHECKS, CheckRow, run_checks
+from wickchaos.multiindex import MultiIndex
 
 EXACT_ROWS = [name for name in CHECKS if not name.endswith("_mc")]
 
@@ -28,12 +31,79 @@ def test_run_all_returns_ordered_rows():
 
 
 def test_exact_rows_pass_at_tiny_sample_counts():
-    rows = run_checks(EXACT_ROWS, seed=3, n_samples=500)
-    for row in rows:
-        assert row.passed, row.identity
-        assert row.std_error == 0.0
-        assert row.zscore == 0.0
-        assert row.estimate <= 1e-9
+    for seed in range(20):
+        rows = run_checks(EXACT_ROWS, seed=seed, n_samples=500)
+        for row in rows:
+            assert row.passed, (seed, row.identity)
+            assert row.std_error == 0.0
+            assert row.zscore == 0.0
+            assert row.estimate <= 1e-9, (seed, row.identity)
+
+
+# -- the random corpora ---------------------------------------------------------
+#
+# Each helper draws whole arrays in a fixed order.  The references below
+# spell that order out, so a change to the stream (and with it to every
+# row's reported gaps at a given seed) shows here first.
+
+CORPUS_SHAPES = [(dim, degree, n) for dim in (1, 2, 3)
+                 for degree in range(7) for n in range(7)]
+
+
+def reference_terms(rng, dim, degree, n_terms):
+    """Degrees, then all indices, then all coefficients; a label drawn
+    twice sums its coefficients, in first-occurrence order."""
+    degrees = rng.integers(0, degree + 1, size=n_terms)
+    indices = rng.integers(0, dim, size=int(degrees.sum()))
+    coeffs = rng.uniform(-1.0, 1.0, size=n_terms)
+    out = {}
+    for part, c in zip(np.split(indices, np.cumsum(degrees)[:-1]), coeffs):
+        alpha = MultiIndex.from_exponents(Counter(part.tolist()))
+        out[alpha] = out.get(alpha, 0.0) + float(c)
+    return out
+
+
+def reference_tensor(rng, dim, order, n_entries):
+    """One (n_entries, order) index array, then one value array; a sorted
+    tuple drawn twice keeps its last value."""
+    index = rng.integers(0, dim, size=(n_entries, order))
+    values = rng.uniform(-1.0, 1.0, size=n_entries)
+    out = {}
+    for row, v in zip(index, values):
+        out[tuple(sorted(row.tolist()))] = float(v)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_terms_draw_whole_arrays(seed):
+    for dim, degree, n in CORPUS_SHAPES:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = checks._random_terms(got_rng, dim, degree, n)
+        want = reference_terms(want_rng, dim, degree, n)
+        assert list(got.items()) == list(want.items()), (dim, degree, n)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_tensor_draws_whole_arrays(seed):
+    for dim, order, n in CORPUS_SHAPES:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = checks.random_tensor(got_rng, dim, order, n)
+        want = reference_tensor(want_rng, dim, order, n)
+        assert got == SymTensor(dim, order, want), (dim, order, n)
+        assert list(got.values.items()) == list(want.items()), (dim, order, n)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_random_variances_are_bitwise_the_scalar_draws():
+    # PCG64 hands out one 64-bit word per double, sized call or not
+    for seed in range(20):
+        for dim in range(7):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = checks.random_variances(got_rng, dim)
+            want = [float(want_rng.uniform(0.3, 2.0)) for _ in range(dim)]
+            assert got == want and all(type(v) is float for v in got)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_report_obj_shape():

@@ -10,7 +10,7 @@ from wickchaos.chaos import ChaosVector, ordinary_product
 from wickchaos.errors import DomainError, OrderOverflowError
 from wickchaos.hermite import (ORDER_LIMIT, factorial, hermite_eval,
                                hermite_rows, hermite_shift, hermite_to_power,
-                               power_to_hermite)
+                               hu_meyer_coeff, power_to_hermite)
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import (PolySeries, chaos_to_poly, poly_to_chaos,
                                        wick_order_icopy_exact)
@@ -134,6 +134,49 @@ def test_shift_formula_pointwise():
         rebuilt = sum(c * hermite_eval(k, x) for k, c in coeffs.items())
         direct = hermite_eval(n, x + a)
         assert abs(rebuilt - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_shift_keeps_its_bits():
+    # the checks run once per call and leave every finite coefficient as is;
+    # at (1025, 1.0) every coefficient is finite while their sum 2^1025 is not
+    for n, a in [(n, a) for n in range(12)
+                 for a in (1e-300, -0.7, 0.3, 2.5, -1e20, 1e25)] + [(1025, 1.0)]:
+        pw, want = 1.0, {}
+        for k in range(n + 1):
+            want[n - k] = math.comb(n, k) * pw
+            pw *= a
+        got = hermite_shift(n, a)
+        assert list(got.items()) == list(want.items()), (n, a)
+
+
+@pytest.mark.parametrize("n, a, message", [
+    (3, math.inf, "shift is not finite"), (3, -math.inf, "shift is not finite"),
+    (3, math.nan, "shift is not finite"), (0, math.nan, "shift is not finite"),
+    (4, 1e200, "overflows to inf"), (4, -1e200, "overflows to inf"),
+    (650, 2.0, "overflows to inf"), (2000, 1.0, r"C\(2000, 1000\)")])
+def test_shift_is_loud_when_not_finite(n, a, message):
+    # (650, 2.0) overflows in the middle coefficients only: the first is 1
+    # and the last 2^650, and their sum is past the double range too;
+    # C(2000, k) is past the double range from k = 230
+    with pytest.raises(DomainError, match=message):
+        hermite_shift(n, a)
+
+
+def test_hu_meyer_coeff_keeps_its_bits_below_297():
+    for n in range(297):
+        for k in range(n // 2 + 1):
+            want = math.factorial(n) / (2 ** k * math.factorial(k) * math.factorial(n - 2 * k))
+            assert hu_meyer_coeff(n, k) == want, (n, k)
+
+
+def test_hu_meyer_coeff_is_loud_past_the_double_range():
+    with pytest.raises(DomainError, match=r"n=297, k=136"):
+        hu_meyer_coeff(297, 136)
+    with pytest.raises(DomainError, match=r"n=300, k="):
+        power_to_hermite(300)
+    # the coordinatewise map asks for the expansions of lower degrees too
+    with pytest.raises(DomainError, match=r"hu_meyer_coeff\(n=\d+, k=\d+\)"):
+        poly_to_chaos(PolySeries(1, {MultiIndex([(0, 400)]): 1.0}, 400))
 
 
 def test_power_hermite_conversions():
