@@ -42,19 +42,33 @@ at p = 0.  A product of fewer than _CROSSOVER pairs, plus one per
 _CELLS_PER_PAIR codes of the range (K+1)^u, runs the dict loop
 (_convolve) on tuples and a dict of Python ints, whose width has no
 limit; so does one whose range exceeds _CELLS, which covers every code
-past 2^63.  The others run on int64 arrays from the operands up: codes
-from the codec, degrees and coefficients by np.fromiter, and for the
-ordinary product a vectorized lowering (_lowered) and grouping
-(_contracted) without a tuple per term.  They keep the dict loop's order:
+past 2^63.  Both prices are fitted to a sweep of both routes over pairs
+and cells (BENCH_routes.json).  An array call costs 25-65 us more than
+the dict loop before its first pair, and a Wick or wick_exp pair costs
+60-160 ns less: the Wick product, whose count is exact, breaks even at
+460-670 pairs.  A code of the range costs at most ~1.5 ns while the
+thread keeps its arrays (up to _KEPT_CELLS codes), and 1-5 ns per call
+past that, where the arrays are made per call.  The sweep's regret is
+lowest at 96-128 codes per pair.  Of the loops that move to arrays
+between 32 and 128, each ran faster there but translate at d = 6, K = 10
+(48,048 pairs by its count, 11^6 codes, six calls), 16-21% faster in a
+quiet host phase and 10-37% slower in a busy one; at 144 the degrees of
+wick_exp over 7^6 codes would move, and run 50-70% slower.  The others
+run on int64 arrays from the operands up: codes from the codec, degrees
+and coefficients by np.fromiter, and for the ordinary product a
+vectorized lowering (_lowered) and grouping (_contracted) without a
+tuple per term.  They keep the dict loop's order:
 the groups rank by the first appearance of their p among F's lowered
 terms, and stable sorts keep F's rows in term order within a group and
 G's, lowered from terms sorted by (degree, code), in (degree, code)
 order.  The integer weights stay exact: up to K = 20 they are at most
 20! < 2^63 and fit int64, and above they are Python ints, as in the dict
-loop.  One kernel, _convolve_dense, takes the arrays: a running sum of
-the row starts and gathers build the pairs in the dict loop's visiting
-order, _CHUNK pairs at a time so that memory does not grow with the pair
-count, in work arrays each thread keeps: with fresh ones per call, the C
+loop.  One kernel, _convolve_dense, takes the arrays and builds the
+pairs in the dict loop's visiting order, _CHUNK pairs at a time so that
+memory does not grow with the pair count: np.repeat of each row's code,
+value and term offset by its pairs in the chunk, and gathers of the
+terms met.  They fill work arrays each thread keeps, with one chunk of
+np.repeat output alive at a time: with fresh work arrays per call, the C
 allocator trimmed and re-faulted its heap on every call in some memory
 layouts, and the same product ran 20-30% slower.  np.add.at sums the
 pairs into a dense array over the range, and np.minimum.at records each
@@ -98,8 +112,15 @@ G_n reads only F's parts of degree <= n, so projecting onto degrees <= K
 is exact.  wick_exp makes one pair loop over the groups (G_{n-m}, m F_m)
 per degree, and a degree of one pair adds it directly, as the loop would;
 exponential_vector and renormalization's quadratic exponentials call it.
-It always runs the dict loop: a degree's groups are small, and on the
-arrays they ran no faster, so no array route is kept for them.
+Every pair of a degree fits, so its count sum_m |G_{n-m}| |F_m| is
+exact, and _dense picks its route as for the products.  On arrays a
+degree is one _convolve_dense call: the rows of the G_{n-m} end to end,
+each meeting its own group's m F_m from that group's offset, as the
+ordinary product's rows meet their group of G.  A degree's groups have
+short prefixes, a few terms each, where the dict loop pays ~140 ns a
+pair and the kernel ~10 ns past its fixed cost: in wick_exp_I2 at d = 5,
+K = 4 (9^5 codes) degree 8, of 3,150 pairs, runs on arrays, and degree
+6, of 1,050, stays on the dict loop, as the price of the codes asks.
 
 The sparse store itself (_Store) has three users.  SymTensor keeps the
 value of a symmetric order-n tensor at a sorted index tuple t under the
@@ -530,10 +551,10 @@ def expectation(F: ChaosVector) -> float:
 
 # -- products (integer codes, see the module docstring) ---------------------
 
-_CROSSOVER = 640  # pairs: numpy's ~45 us per call matches the dict loop at 500-750 pairs
-_CELLS_PER_PAIR = 16  # a dense cell costs 1-4 ns, a dict pair ~80 ns more than a numpy one
+_CROSSOVER = 640  # pairs: an array call's 25-65 us matches the dict loop at 460-670 pairs
+_CELLS_PER_PAIR = 128  # a kept code costs <= ~1.5 ns, a dict pair 60-160 ns more
 _CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
-_CHUNK = 1 << 15  # pairs per numpy chunk: 1.75 MiB of pair buffers; 2^14-2^18 time alike
+_CHUNK = 1 << 15  # pairs per numpy chunk: 1.5 MiB of pair buffers; 2^14 as fast, 2^16 up slower
 _KEPT_CELLS = 1 << 16  # dense codes whose arrays a thread keeps between calls: 1 MiB
 _CODEC_LABELS = 1 << 16  # labels and codecs held at most before all codecs are dropped
 _INT64_BASE = 21  # largest base whose integer weights fit int64: 20! < 2^63 < 21!
@@ -645,14 +666,14 @@ def _work(cells: int, pairs: int) -> tuple[np.ndarray, ...]:
     """This thread's arrays for _convolve_dense, taken from it while in use
     so that a call that raises drops them, and made larger when too small:
     sums and first visits over the codes, zeroed and unvisited between
-    calls, and per pair of a chunk the ints (step 0, 1, ..., row, pair t,
-    term met j, code) and the vals (product, factor)."""
+    calls, and per pair of a chunk the ints (step 0, 1, ..., pair t, term
+    met j, code) and the vals (product, factor)."""
     work = _kept.__dict__.pop("work", None)
     if work is None or len(work[0]) < cells or work[2].shape[1] < pairs:
         if work is not None:
             cells, pairs = max(cells, len(work[0])), max(pairs, work[2].shape[1])
         work = (np.zeros(cells), np.full(cells, _UNSEEN, np.int64),
-                np.empty((5, pairs), np.int64), np.empty((2, pairs)))
+                np.empty((4, pairs), np.int64), np.empty((2, pairs)))
         work[2][0] = np.arange(pairs)
     return work
 
@@ -666,10 +687,12 @@ def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: n
     arrays (codes, sums) in first-visit order.
 
     Pair t belongs to row r when starts[r] <= t < ends[r] and meets term
-    t + shift[r].  Sums and first visits go to the dense arrays indexed by
-    code; ufunc.at is unbuffered and runs in index order, so each sum
-    associates as in the dict loop.  Every array of the size of a chunk
-    or of the range is one of the thread's work arrays (_work).
+    t + shift[r]: np.repeat of a row's values by its pairs in the chunk
+    gives them to its pairs.  Sums and first visits go to the dense arrays
+    indexed by code; ufunc.at is unbuffered and runs in index order, so
+    each sum associates as in the dict loop.  Every array of the size of
+    the range is one of the thread's work arrays (_work), and so is every
+    one of the size of a chunk except one np.repeat output at a time.
     """
     ends = np.cumsum(n)
     total = int(ends[-1]) if len(ends) else 0
@@ -681,20 +704,16 @@ def _convolve_dense(fcode: np.ndarray, fval: np.ndarray, n: np.ndarray, first: n
         hi = min(lo + _CHUNK, total)
         r0 = int(np.searchsorted(ends, lo, "right"))
         r1 = int(np.searchsorted(ends, hi - 1, "right")) + 1
-        step, row, t, j, code = work[2][:, :hi - lo]
+        step, t, j, code = work[2][:, :hi - lo]
         val, factor = work[3][:, :hi - lo]
-        row.fill(0)  # r0 at pair lo and one at each later row's start, summed: each pair's row
-        row[0] = r0
-        np.add.at(row, starts[r0 + 1:r1] - lo, 1)
-        np.cumsum(row, out=row)
+        reps = np.minimum(ends[r0:r1], hi) - np.maximum(starts[r0:r1], lo)  # pairs per row
         np.add(step, lo, out=t)
-        np.take(shift, row, out=j, mode="clip")
-        j += t
+        np.add(np.repeat(shift[r0:r1], reps), t, out=j)
         with np.errstate(over="ignore", invalid="ignore"):  # as floats do: the store raises
-            np.take(fval, row, out=val, mode="clip")
-            val *= np.take(gval, j, out=factor, mode="clip")
-            np.take(fcode, row, out=code, mode="clip")
-            code += np.take(gcode, j, out=row, mode="clip")
+            np.multiply(np.repeat(fval[r0:r1], reps), np.take(gval, j, out=factor, mode="clip"),
+                        out=val)
+            np.add(np.repeat(fcode[r0:r1], reps), np.take(gcode, j, out=code, mode="clip"),
+                   out=code)
             np.add.at(sums, code, val)
         np.minimum.at(seen, code, t)
     codes = np.flatnonzero(seen != _UNSEEN)
@@ -817,12 +836,12 @@ def _decoded(out: dict[int, float] | tuple[np.ndarray, np.ndarray], codec: _Code
 def _coordinatewise(F: _Store, tables, cls: type[_Store]) -> _Store:
     """Apply a 1-D expansion to every coordinate F uses, one at a time.
 
-    tables(i, m) is the expansion {n: w} of coordinate i's label m, and
-    the label becomes sum_n w (label n): the Hermite shift of translate,
-    and power_to_hermite / hermite_to_power between PolySeries and
-    ChaosVector.  Each has n <= m, so the integer codes of the product
-    kernel stay valid.  Each coordinate's table is built once, for the
-    labels m up to the largest one F uses there.
+    tables(i, top) lists the expansions {n: w} of coordinate i's labels m
+    = 0..top, and the label m becomes sum_n w (label n): the Hermite shift
+    of translate, and power_to_hermite / hermite_to_power between
+    PolySeries and ChaosVector.  Each has n <= m, so the integer codes of
+    the product kernel stay valid.  Each coordinate's tables are built
+    once, up to the largest label F uses there.
 
     The route is picked before any array is built (see the module
     docstring).  On arrays, a term of code c and digit m at the place value
@@ -838,7 +857,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store]) -> _Store:
         for i, w in codec.place.items():
             code, val = terms
             m = code // w % base
-            table = [tables(i, k) for k in range(int(m.max()) + 1)]
+            table = tables(i, int(m.max()))
             sizes = np.array(list(map(len, table)), np.int64)
             terms = _convolve_dense(code - m * w, val, sizes[m], (np.cumsum(sizes) - sizes)[m],
                                     np.fromiter(chain.from_iterable(table), np.int64) * w,
@@ -847,7 +866,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store]) -> _Store:
     else:
         terms = dict(zip(_coded(F, codec), F._terms.values()))
         for i, w in codec.place.items():
-            table = [tables(i, m) for m in range(max(code // w % base for code in terms) + 1)]
+            table = tables(i, max(code // w % base for code in terms))
             out: dict[int, float] = {}
             get = out.get
             for code, c in terms.items():
@@ -1002,6 +1021,7 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
         raise DomainError(f"exp of E F = {expectation(F)} overflows") from None
     base = max_order + 1
     codec = _codec(base, low)
+    cells = base ** len(codec.coords)
     parts: dict[int, list] = {}  # m -> m F_m
     for m, code, c in zip(map(_degree, low._terms), _coded(low, codec), low._terms.values()):
         parts.setdefault(m, []).append((m, code, m * c))
@@ -1012,6 +1032,17 @@ def wick_exp(F: ChaosVector, max_order: int) -> ChaosVector:
             if len(groups) == 1 and len(groups[0][0]) == len(groups[0][1]) == 1:
                 ((_, ca, c),), ((_, cb, d),) = groups[0]
                 out = ((ca + cb, 0.0 + c * d),)  # the one pair, as the dict loop adds it
+            elif _dense(sum([len(gn) * len(fm) for gn, fm in groups]), cells):
+                # each group's rows meet its m F_m from its offset in fms
+                fs = [t for gn, _ in groups for t in gn]
+                fms = [t for _, fm in groups for t in fm]
+                sizes = np.array([len(fm) for _, fm in groups], np.int64)
+                rows = [len(gn) for gn, _ in groups]
+                codes, sums = _convolve_dense(
+                    np.array([t[1] for t in fs], np.int64), np.array([t[2] for t in fs]),
+                    np.repeat(sizes, rows), np.repeat(np.cumsum(sizes) - sizes, rows),
+                    np.array([t[1] for t in fms], np.int64), np.array([t[2] for t in fms]), cells)
+                out = zip(codes.tolist(), sums.tolist())
             else:
                 out = _convolve(groups, n).items()
             G[n] = [(n, k, s / n) for k, s in out]

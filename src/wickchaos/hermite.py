@@ -31,7 +31,9 @@ bounds the rest of the package: the exact products and evaluations run past
 order 170.  hermite_eval raises DomainError on a value that is not finite,
 and so do hu_meyer_coeff (from n = 297 on, where n! / (2^k k! (n-2k)!)
 passes the double range for some k) and hermite_shift (a shift that is not
-finite, or a coefficient or binomial C(n, k) that is not).
+finite, or a coefficient C(n, k) a^k that is not; from n = 1030 on some
+binomial C(n, k) is past the double range, and each coefficient is formed
+as a mantissa and a power of two instead).
 """
 
 from __future__ import annotations
@@ -125,30 +127,80 @@ def hermite_shift(n: int, a: float) -> dict[int, float]:
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
+    return _shift_rows(n, a, n)[0]
+
+
+def _shift_rows(top: int, a: float, first: int = 0) -> list[dict[int, float]]:
+    """hermite_shift(m, a) for m = first..top, from one running list of the
+    powers a^k and the cached binomial rows: translate builds the rows of a
+    coordinate so, once per call.
+
+    Up to m = 1029 each coefficient is C(m, k) a^k as two doubles multiply
+    it.  Past that some C(m, k) exceeds the double range although C(m, k)
+    a^k may not, and _wide_shift_row forms the row: each coefficient within
+    (k + 2) 2^-53 of the exact value, relatively, unless it is subnormal.
+    """
     if not math.isfinite(a):
-        raise DomainError(f"hermite_shift({n}, {a}): the shift is not finite")
+        raise DomainError(f"hermite_shift({top}, {a}): the shift is not finite")
     if a == 0.0:
-        return {n: 1.0}
-    out: dict[int, float] = {}
-    pw = 1.0
-    for k, c in enumerate(_binomials(n)):
-        out[n - k] = c * pw
+        return [{m: 1.0} for m in range(first, top + 1)]
+    powers, pw = [], 1.0
+    for _ in range(top + 1):
+        powers.append(pw)
         pw *= a
-    # a is finite, so each coefficient is finite or +-inf: a finite sum rules
-    # inf out, and only a sum that overflows needs the second look
-    if not math.isfinite(sum(out.values())) and math.inf in map(abs, out.values()):
-        raise DomainError(f"hermite_shift({n}, {a}): a coefficient overflows to inf")
-    return out
+    rows = []
+    for m in range(first, top + 1):
+        binomials = _binomials(m)
+        if binomials is None:
+            rows.append(_wide_shift_row(m, a))
+            continue
+        row = {}
+        for k, c in enumerate(binomials):
+            row[m - k] = c * powers[k]
+        # a is finite, so each coefficient is finite or +-inf: a finite sum
+        # rules inf out, and only a sum that overflows needs the second look
+        if not math.isfinite(sum(row.values())) and math.inf in map(abs, row.values()):
+            raise DomainError(f"hermite_shift({m}, {a}): a coefficient overflows to inf")
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[float, ...]:
-    """C(n, k) for k = 0..n, each rounded once to a double.  translate asks
-    for the same few orders on every call."""
+def _binomials(n: int) -> tuple[float, ...] | None:
+    """C(n, k) for k = 0..n, each rounded once to a double; None past the
+    double range, from n = 1030 on.  translate asks for the same few orders
+    on every call."""
+    out, c = [], 1  # C(n, k), exactly
     try:
-        return tuple(float(math.comb(n, k)) for k in range(n + 1))
+        for k in range(n + 1):
+            out.append(float(c))
+            c = c * (n - k) // (k + 1)
     except OverflowError:
-        raise DomainError(f"C({n}, {n // 2}) exceeds the double range") from None
+        return None
+    return tuple(out)
+
+
+def _wide_shift_row(n: int, a: float) -> dict[int, float]:
+    """Row n of the shift by a past the double range of the binomials: each
+    C(n, k) a^k as a mantissa, C(n, k) / 2^b rounded once times that of
+    a^k, and a power of two, the power of a kept in range as a running
+    product of mantissas, each rounded once.  DomainError naming the
+    largest coefficient if one is not a finite double."""
+    am, ae = math.frexp(a)
+    scaled = []
+    c, x, e = 1, 1.0, 0  # C(n, k) exactly, and a^k = x 2^e
+    for k in range(n + 1):
+        b = c.bit_length()
+        scaled.append((c / (1 << b) * x, b + e))
+        c = c * (n - k) // (k + 1)
+        x, de = math.frexp(x * am)
+        e += ae + de
+    try:
+        return {n - k: math.ldexp(m, e) for k, (m, e) in enumerate(scaled)}
+    except OverflowError:
+        k = max(range(n + 1), key=lambda k: math.log2(abs(scaled[k][0])) + scaled[k][1])
+        raise DomainError(f"hermite_shift({n}, {a}): C({n}, {k}) a^{k} exceeds the double "
+                          "range") from None
 
 
 def hu_meyer_coeff(n: int, k: int) -> float:

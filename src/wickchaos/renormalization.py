@@ -125,12 +125,14 @@ def wick_order_poly(p: PolySeries,
 
 def poly_to_chaos(p: PolySeries) -> ChaosVector:
     """The plain (unrenormalized) random variable p(e~) in the Hermite basis."""
-    return _coordinatewise(p, lambda i, m: power_to_hermite(m), ChaosVector)
+    return _coordinatewise(p, lambda i, top: list(map(power_to_hermite, range(top + 1))),
+                          ChaosVector)
 
 
 def chaos_to_poly(F: ChaosVector) -> PolySeries:
     """Expand a chaos vector into an explicit polynomial in the coordinates."""
-    return _coordinatewise(F, lambda i, m: hermite_to_power(m), PolySeries)
+    return _coordinatewise(F, lambda i, top: list(map(hermite_to_power, range(top + 1))),
+                          PolySeries)
 
 
 # -- independent-copy representation ----------------------------------------

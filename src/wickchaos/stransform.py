@@ -24,7 +24,7 @@ import numpy as np
 
 from .chaos import ChaosVector, _coordinatewise, _total, evaluate
 from .errors import DimensionMismatchError
-from .hermite import hermite_shift
+from .hermite import _shift_rows
 from .montecarlo import Estimate, mean_estimate
 
 
@@ -68,4 +68,4 @@ def translate(F: ChaosVector, y: Sequence[float]) -> ChaosVector:
     """
     if len(y) != F.dim:
         raise DimensionMismatchError(f"shift length {len(y)} != dim {F.dim}")
-    return _coordinatewise(F, lambda i, m: hermite_shift(m, float(y[i])), ChaosVector)
+    return _coordinatewise(F, lambda i, top: _shift_rows(top, float(y[i])), ChaosVector)

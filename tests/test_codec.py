@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wickchaos import chaos
-from wickchaos.chaos import (ChaosVector, exponential_vector,
+from wickchaos.chaos import (ChaosVector, SymTensor, exponential_vector,
                              ordinary_product, wick_exp, wick_product)
 from wickchaos.errors import DomainError
 from wickchaos.multiindex import EMPTY, MultiIndex
-from wickchaos.renormalization import PolySeries, chaos_to_poly, poly_to_chaos
+from wickchaos.renormalization import PolySeries, chaos_to_poly, poly_to_chaos, wick_exp_I2
 from wickchaos.stransform import translate
 
 from helpers import PRUNE_DEFAULT, vectors
@@ -215,6 +215,34 @@ def test_a_warm_dense_product_allocates_nothing_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 12870
+
+
+def warm_peak(run):
+    """The tracemalloc peak of run() after two calls."""
+    run()
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_wick_exp_and_translate_allocate_nothing_per_pair(monkeypatch):
+    # on the array route a warm call allocates less than it does on the
+    # dict loop plus two arrays of the pairs of its largest kernel call:
+    # wick_exp_I2 at d=5, K=4 (3,150 pairs at degree 8) and translate at
+    # (4,8) (1,287 pairs per coordinate)
+    M = SymTensor(5, 2, {(i, j): 0.05 + 0.01 * (i + 2 * j) for i in range(5) for j in range(i, 5)})
+    E = exponential_vector([0.3, -0.2, 0.1, 0.25], 8)
+    cases = [(lambda: wick_exp_I2(M, K=4), 3150),
+             (lambda: translate(E, [0.25, 0.0, -0.5, 1.5]), 1287)]
+    for run, pairs in cases:
+        dense_route(monkeypatch, 1 << 15)
+        kernel = warm_peak(run)
+        monkeypatch.setattr(chaos, "_CROSSOVER", 1 << 62)
+        assert kernel < warm_peak(run) + 16 * pairs
 
 
 def test_codecs_are_made_on_first_use():

@@ -8,12 +8,13 @@ import pytest
 
 from wickchaos.chaos import ChaosVector, ordinary_product
 from wickchaos.errors import DomainError, OrderOverflowError
-from wickchaos.hermite import (ORDER_LIMIT, factorial, hermite_eval,
+from wickchaos.hermite import (ORDER_LIMIT, _shift_rows, factorial, hermite_eval,
                                hermite_rows, hermite_shift, hermite_to_power,
                                hu_meyer_coeff, power_to_hermite)
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import (PolySeries, chaos_to_poly, poly_to_chaos,
                                        wick_order_icopy_exact)
+from wickchaos.stransform import translate
 
 from helpers import expect_1d, gauss_rule, hermite_np, hermite_sum
 
@@ -160,6 +161,64 @@ def test_shift_is_loud_when_not_finite(n, a, message):
     # C(2000, k) is past the double range from k = 230
     with pytest.raises(DomainError, match=message):
         hermite_shift(n, a)
+
+
+@pytest.mark.parametrize("n, a", [(1030, 1e-3), (1030, -0.9), (1030, 0.5),
+                                  (2000, 1e-3), (2000, 0.3), (2000, -0.25)])
+def test_shift_past_the_binomials_double_range(n, a):
+    # C(n, n // 2) is past the double range from n = 1030 on, but every
+    # C(n, k) a^k here is a finite double: each is within (k + 2) 2^-53 of
+    # the exact value, relatively, or rounds to a subnormal or zero, where
+    # the error is at most 2^-1074 absolutely.  In integers: a = p / q,
+    # C(n, k) a^k = C(n, k) p^k / q^k and a coefficient x = r / s, so the
+    # error is |r q^k - C(n, k) p^k s| / (s q^k)
+    got = hermite_shift(n, a)
+    assert list(got) == list(range(n, -1, -1))
+    p, q = a.as_integer_ratio()
+    c, pk, qk = 1, 1, 1
+    for k in range(n + 1):
+        r, s = got[n - k].as_integer_ratio()
+        error = abs(r * qk - c * pk * s)
+        assert (error << 53 <= (k + 2) * abs(c * pk) * s
+                or error << 1074 <= s * qk), (n, k)
+        c, pk, qk = c * (n - k) // (k + 1), pk * p, qk * q
+
+
+def test_translate_of_order_1030():
+    # one coordinate at order 1030: the shift of H_1030 is its row, and
+    # that of 2 H_1 adds 2 H_1 + 2a
+    x = MultiIndex([(0, 1)])
+    F = ChaosVector(1, 1030, {MultiIndex([(0, 1030)]): 1.0, x: 2.0})
+    row = hermite_shift(1030, 1e-3)
+    T = translate(F, [1e-3])
+    want = {MultiIndex([(0, n)]) if n else EMPTY: c for n, c in row.items() if c}
+    want[x] = row[1] + 2.0
+    want[EMPTY] = row[0] + 2e-3
+    assert T.terms == want
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, 1e150, 0.3, -2.5])
+def test_shift_rows_are_the_shifts_bitwise(a):
+    # translate builds the rows m = 0..top of a coordinate at once: each is
+    # hermite_shift(m, a) to the bit, C(m, k) times the running power of
+    # a, and a row that overflows (from m = 3 at 1e150) raises as it does
+    want = []
+    for m in range(41):
+        pw, row = 1.0, {}
+        for k in range(m + 1):
+            row[m - k] = math.comb(m, k) * pw
+            pw *= a
+        want.append({m: 1.0} if a == 0.0 else row)
+    for top in range(41):
+        try:
+            shifts = [hermite_shift(m, a) for m in range(top + 1)]
+        except DomainError:
+            with pytest.raises(DomainError, match="overflows to inf"):
+                _shift_rows(top, a)
+            continue
+        rows = _shift_rows(top, a)
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in shifts]
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in want[:top + 1]]
 
 
 def test_hu_meyer_coeff_keeps_its_bits_below_297():

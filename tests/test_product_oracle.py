@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wickchaos import chaos
-from wickchaos.chaos import (ChaosVector, expectation, exponential_vector,
-                             ordinary_product, wick_exp, wick_product)
+from wickchaos.chaos import (ChaosVector, SymTensor, expectation, exponential_vector,
+                             from_tensor, ordinary_product, scale, wick_exp, wick_product)
 from wickchaos.errors import DimensionMismatchError, DomainError, OrderOverflowError
 from wickchaos.multiindex import EMPTY, MultiIndex
 from wickchaos.renormalization import PolySeries, chaos_to_poly, poly_mul, poly_to_chaos
@@ -287,10 +287,10 @@ def bits(P):
     return [(a, c.hex()) for a, c in P.items()]
 
 
-def on_routes(op, *args, **kwargs):
-    """bits(op(*args, **kwargs)) on every route of ROUTES."""
+def on_routes(op, *args, routes=ROUTES, **kwargs):
+    """bits(op(*args, **kwargs)) on every route of routes."""
     out = []
-    for crossover, chunk in ROUTES:
+    for crossover, chunk in routes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chaos, "_CROSSOVER", crossover)
             mp.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
@@ -417,15 +417,18 @@ def test_coordinatewise_routes_agree_bitwise(case):
 
 
 def test_coordinatewise_route_is_picked_by_size(dense_route):
-    # (4,8): 495 terms on 4 coordinates, one kernel call per coordinate
+    # (4,8): 495 terms on 4 coordinates, one kernel call per coordinate;
+    # the vectors are built first, as wick_exp may call the kernel too
     F = exponential_vector([0.3, -0.2, 0.1, 0.4], 8)
+    S = exponential_vector([0.3, -0.2, 0.1], 5)
     y = [0.25, 0.0, -0.5, 1.5]
+    dense_route.clear()
     T = translate(F, y)
     assert len(dense_route) == 4
     assert_matches(T, oracle_translate(F, y))
     # (3,5): 56 terms on 3 coordinates stay on the dict loop
     dense_route.clear()
-    translate(exponential_vector([0.3, -0.2, 0.1], 5), [0.25, 0.0, -0.5])
+    translate(S, [0.25, 0.0, -0.5])
     assert not dense_route
 
 
@@ -485,14 +488,60 @@ def test_s_transform_of_wick_exp(data, dim, order):
     assert abs(s_transform(wick_exp(F, order), xi) - want) <= 1e-13 * bound
 
 
-def test_wick_exp_runs_the_dict_loop(dense_route, monkeypatch):
-    # no array route, even with every pair count above the crossover
-    F = exponential_vector([0.4, -0.7, 0.25], 3)
+@st.composite
+def wick_exp_cases(draw):
+    """An exponent and an order: a generated vector with parts of several
+    degrees m, so that a degree n of the series has several groups (G_{n-m},
+    m F_m); I_2(M)/2 - tr M/2 of a random symmetric M, as wick_exp_I2 sets
+    it; or a constant and one degree-1 term, whose every degree is one
+    pair."""
+    kind = draw(st.sampled_from(["vector", "i2", "one pair"]))
+    dim = draw(st.integers(1, 4))
+    if kind == "vector":
+        F = draw(vectors(dim, 3, prune=0.0))
+    elif kind == "i2":
+        f = SymTensor(dim, 2, {(i, j): draw(signed(1e-3, 0.3)) / dim
+                               for i in range(dim) for j in range(i, dim)})
+        F = scale(from_tensor(f), 0.5) - 0.5 * sum(f.value((i, i)) for i in range(dim))
+    else:
+        F = ChaosVector(dim, 1, {EMPTY: draw(signed(1e-3, 2.0)),
+                                 MultiIndex([(dim - 1, 1)]): draw(signed(1e-3, 2.0))})
+    return F, draw(st.integers(0, 8))
+
+
+WICK_EXP_ROUTES = [(0, 3), (0, 1 << 15), (1 << 62, 1 << 15)]
+
+
+@SETTINGS
+@given(case=wick_exp_cases())
+def test_wick_exp_routes_agree_bitwise(case):
+    # every degree of two or more pairs on the array route, in chunks of
+    # three pairs and of 2^15, gives the coefficients of the dict loop to
+    # the bit, in its term order
+    F, order = case
+    first, *rest = on_routes(wick_exp, F, order, routes=WICK_EXP_ROUTES)
+    assert all(r == first for r in rest)
+
+
+def test_wick_exp_runs_each_degree_in_one_kernel_call(monkeypatch):
+    # parts of degrees 1, 2 and 3: from degree 2 on, a degree's groups meet
+    # their own m F_m from nonzero offsets in one call; degree 1, its one
+    # pair the constant G_0 and e~_0, makes no call
+    x, y = MultiIndex([(0, 1)]), MultiIndex([(1, 1)])
+    F = ChaosVector(2, 3, {EMPTY: 0.3, x: 0.5, x + x: 0.2, x + y: 0.7, y + y + y: 0.4})
     want = bits(wick_exp(F, 8))
     monkeypatch.setattr(chaos, "_CROSSOVER", 0)
     monkeypatch.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+    firsts = []
+    dense = chaos._convolve_dense
+
+    def spy(fcode, fval, n, first, *rest):
+        firsts.append(first)
+        return dense(fcode, fval, n, first, *rest)
+
+    monkeypatch.setattr(chaos, "_convolve_dense", spy)
     assert bits(wick_exp(F, 8)) == want
-    assert not dense_route
+    assert len(firsts) == 7 and any(first.any() for first in firsts)
 
 
 def test_wick_exp_overflow_is_domain_error():
