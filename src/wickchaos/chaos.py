@@ -42,35 +42,28 @@ at p = 0.  A product of fewer than _CROSSOVER pairs, plus one per
 _CELLS_PER_PAIR codes of the range (K+1)^u, runs the dict loop
 (_convolve) on tuples and a dict of Python ints, whose width has no
 limit; so does one whose range exceeds _CELLS, which covers every code
-past 2^63.  Both prices are fitted to a sweep of both routes over pairs
-and cells (BENCH_routes.json).  An array call costs 25-65 us more than
-the dict loop before its first pair, and a Wick or wick_exp pair costs
-60-160 ns less: the Wick product, whose count is exact, breaks even at
-460-670 pairs.  A code of the range costs at most ~1.5 ns while the
-thread keeps its arrays (up to _KEPT_CELLS codes), and 1-5 ns per call
-past that, where the arrays are made per call.  The sweep's regret is
-lowest at 96-128 codes per pair.  Of the loops that move to arrays
-between 32 and 128, each ran faster there but translate at d = 6, K = 10
-(48,048 pairs by its count, 11^6 codes, six calls), 16-21% faster in a
-quiet host phase and 10-37% slower in a busy one; at 144 the degrees of
-wick_exp over 7^6 codes would move, and run 50-70% slower.  The others
-run on int64 arrays from the operands up: codes from the codec, degrees
-and coefficients by np.fromiter, and for the ordinary product a
-vectorized lowering (_lowered) and grouping (_contracted) without a
-tuple per term.  They keep the dict loop's order:
-the groups rank by the first appearance of their p among F's lowered
-terms, and stable sorts keep F's rows in term order within a group and
-G's, lowered from terms sorted by (degree, code), in (degree, code)
-order.  The integer weights stay exact: up to K = 20 they are at most
+past 2^63.  _CROSSOVER is the array call's fixed cost in pairs of the
+dict loop, and _CELLS_PER_PAIR the codes of the range that cost one pair
+while the thread keeps its arrays.  Past _KEPT_CELLS the arrays are made
+and faulted in per call, and a code is priced at eight kept ones.  The
+prices are fitted to sweeps of both routes (README, BENCH_*.json).  The
+others run on int64 arrays from the operands up: codes read from the
+codec straight into int64, degrees and coefficients by np.fromiter, and
+for the ordinary product a vectorized lowering (_lowered) and grouping
+(_contracted) without a tuple per term.  They keep the dict loop's
+order: the groups rank by the first appearance of their p among F's
+lowered terms, and stable sorts keep F's rows in term order within a
+group and G's, lowered from terms sorted by (degree, code), in (degree,
+code) order.  The integer weights stay exact: up to K = 20 they are at most
 20! < 2^63 and fit int64, and above they are Python ints, as in the dict
 loop.  One kernel, _convolve_dense, takes the arrays and builds the
 pairs in the dict loop's visiting order, _CHUNK pairs at a time so that
 memory does not grow with the pair count: np.repeat of each row's code,
 value and term offset by its pairs in the chunk, and gathers of the
 terms met.  They fill work arrays each thread keeps, with one chunk of
-np.repeat output alive at a time: with fresh work arrays per call, the C
-allocator trimmed and re-faulted its heap on every call in some memory
-layouts, and the same product ran 20-30% slower.  np.add.at sums the
+np.repeat output alive at a time: fresh work arrays per call let the C
+allocator trim and re-fault its heap on every call in some memory
+layouts.  np.add.at sums the
 pairs into a dense array over the range, and np.minimum.at records each
 code's first visit.  ufunc.at is unbuffered and runs in index order, so
 every code's sum adds the same products in the same order as the dict
@@ -79,7 +72,10 @@ chunk size, give the same bits in the same term order.  The kernel
 returns the arrays (codes, sums), which _decoded reads.
 
 Labels go through codecs.  A codec holds the two maps label -> code and
-code -> label of one key (K+1, i_0, i_1, ...).  A code is a pure function
+code -> label of one key (K+1, i_0, i_1, ...).  The operands share one
+dim and every label is on coordinates < dim, so the scan for the key
+stops once it has found dim coordinates: a store that uses them all pays
+for a few labels, not for every entry.  A code is a pure function
 of the label and the key, so one codec serves every call under its key,
 whatever vectors or store types (ChaosVector, PolySeries) the call reads:
 an operand label is coded, and an output code decoded by divmod into a new
@@ -117,10 +113,8 @@ exact, and _dense picks its route as for the products.  On arrays a
 degree is one _convolve_dense call: the rows of the G_{n-m} end to end,
 each meeting its own group's m F_m from that group's offset, as the
 ordinary product's rows meet their group of G.  A degree's groups have
-short prefixes, a few terms each, where the dict loop pays ~140 ns a
-pair and the kernel ~10 ns past its fixed cost: in wick_exp_I2 at d = 5,
-K = 4 (9^5 codes) degree 8, of 3,150 pairs, runs on arrays, and degree
-6, of 1,050, stays on the dict loop, as the price of the codes asks.
+short prefixes, a few terms each, and past its fixed cost the kernel
+visits a pair for a fraction of what the dict loop pays.
 
 The sparse store itself (_Store) has three users.  SymTensor keeps the
 value of a symmetric order-n tensor at a sorted index tuple t under the
@@ -198,7 +192,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
@@ -551,10 +545,10 @@ def expectation(F: ChaosVector) -> float:
 
 # -- products (integer codes, see the module docstring) ---------------------
 
-_CROSSOVER = 640  # pairs: an array call's 25-65 us matches the dict loop at 460-670 pairs
-_CELLS_PER_PAIR = 128  # a kept code costs <= ~1.5 ns, a dict pair 60-160 ns more
+_CROSSOVER = 640  # pairs of the dict loop that cost what an array call's fixed part costs
+_CELLS_PER_PAIR = 128  # codes of a kept range that cost one pair of the dict loop
 _CELLS = 1 << 22  # dense codes at most: two 32 MiB arrays (sums, first visits)
-_CHUNK = 1 << 15  # pairs per numpy chunk: 1.5 MiB of pair buffers; 2^14 as fast, 2^16 up slower
+_CHUNK = 1 << 15  # pairs per numpy chunk: 1.5 MiB of pair buffers
 _KEPT_CELLS = 1 << 16  # dense codes whose arrays a thread keeps between calls: 1 MiB
 _CODEC_LABELS = 1 << 16  # labels and codecs held at most before all codecs are dropped
 _INT64_BASE = 21  # largest base whose integer weights fit int64: 20! < 2^63 < 21!
@@ -588,9 +582,23 @@ class _Codec:
             _held += len(self.label) - held
 
 
-def _coords(stores: Iterable[_Store]) -> list[int]:
-    """The coordinates the stores' labels use, ascending."""
-    return sorted({i for F in stores for a in F._terms for i, _ in a.entries})
+def _coords(stores: Sequence[_Store]) -> list[int]:
+    """The coordinates the stores' labels use, ascending; the stores share
+    one dim.  Every label is on coordinates < dim, so the scan stops once
+    it has found dim of them.  It checks after batches of dim, 2 dim, 4
+    dim, ... labels, the last one a plain scan of the rest, so a store that
+    uses few of many coordinates pays a few checks, not one per label."""
+    dim, used = stores[0].dim, set()
+    for F in stores:
+        labels, left, batch = iter(F._terms), len(F._terms), dim
+        while left > 0:
+            used |= {i for a in (islice(labels, batch) if batch < left else labels)
+                     for i, _ in a.entries}
+            if len(used) == dim:
+                return list(range(dim))
+            left -= batch
+            batch *= 2
+    return sorted(used)
 
 
 def _codec(base: int, *stores: _Store) -> _Codec:
@@ -626,19 +634,31 @@ def _coded(F: _Store, codec: _Codec) -> list[int]:
         return codes
 
 
+def _codes(F: _Store, codec: _Codec) -> np.ndarray:
+    """_coded as int64, read straight from the codec when it knows every
+    label."""
+    try:
+        return np.fromiter(map(codec.code.__getitem__, F._terms), np.int64, len(F._terms))
+    except KeyError:
+        return np.array(_coded(F, codec), np.int64)
+
+
 def _arrays(F: _Store, codec: _Codec,
             degrees: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F's degrees, given in store order, its codes (int64) and its
     coefficients, in store order."""
-    terms, n = F._terms, len(F._terms)
-    return (np.fromiter(degrees, np.int64, n), np.array(_coded(F, codec), np.int64),
-            np.fromiter(terms.values(), float, n))
+    n = len(F._terms)
+    return (np.fromiter(degrees, np.int64, n), _codes(F, codec),
+            np.fromiter(F._terms.values(), float, n))
 
 
 def _dense(pairs: int, cells: int) -> bool:
     """Whether a product with this many pairs, over a range of cells codes,
-    runs on numpy (see the module docstring)."""
-    return cells <= _CELLS and pairs >= _CROSSOVER + cells // _CELLS_PER_PAIR
+    runs on numpy (see the module docstring): a pair per _CELLS_PER_PAIR
+    codes of a range the thread keeps, and per an eighth of that past
+    _KEPT_CELLS, where the arrays are made and faulted in per call."""
+    per_pair = _CELLS_PER_PAIR if cells <= _KEPT_CELLS else _CELLS_PER_PAIR // 8
+    return cells <= _CELLS and pairs >= _CROSSOVER + cells // per_pair
 
 
 def _convolve(groups, order: int) -> dict[int, float]:
@@ -816,7 +836,8 @@ def _decoded(out: dict[int, float] | tuple[np.ndarray, np.ndarray], codec: _Code
     codes, values = ((out.keys(), out.values()) if isinstance(out, dict)
                      else (out[0].tolist(), out[1].tolist()))
     label = codec.label
-    if new := [k for k in codes if k not in label]:
+    if not all(map(label.__contains__, codes)):
+        new = [k for k in codes if k not in label]
         base, coords = codec.base, codec.coords
         labels = []
         for code in new:
@@ -852,8 +873,7 @@ def _coordinatewise(F: _Store, tables, cls: type[_Store]) -> _Store:
     codec = _codec(base, F)
     cells = base ** len(codec.coords)
     if _dense(len(F._terms) * len(codec.coords), cells):
-        n = len(F._terms)
-        terms = np.array(_coded(F, codec), np.int64), np.fromiter(F._terms.values(), float, n)
+        terms = _codes(F, codec), np.fromiter(F._terms.values(), float, len(F._terms))
         for i, w in codec.place.items():
             code, val = terms
             m = code // w % base

@@ -9,12 +9,12 @@ so H_2(x) = x^2 - 1 and E[H_n(X) H_m(X)] = delta_{nm} n! for X ~ N(0,1).
 This differs from the physicists' convention (leading coefficient 2^n)
 used by numpy.polynomial.hermite; numpy.polynomial.hermite_e matches ours
 but is deliberately not relied on, the recurrence here is the ground truth
-the tests pin against an explicit-sum oracle.  It runs in hermite_rows
-alone; hermite_eval reads one row of it.  hermite_rows fills the table it
-is given in place, with no temporaries: chaos evaluation hands it a block
-buffer that its thread keeps between calls.  One value runs it on Python
-floats, because three numpy calls per order cost more than the arithmetic
-(hermite_eval and a point of one coordinate are 2-10 times slower so).
+the tests pin against an explicit-sum oracle.  hermite_rows fills the
+table it is given in place, with no temporaries: chaos evaluation hands it
+a block buffer that its thread keeps between calls.  One value (hermite_eval,
+and a point of one coordinate in hermite_rows) runs the same recurrence on
+Python floats, because three numpy calls per order cost more than the
+arithmetic.
 
 The pairing count hu_meyer_coeff(n, k) = n! / (2^k k! (n-2k)!), the ways
 to pick k disjoint pairs from n slots, gives both changes of basis
@@ -65,7 +65,7 @@ def factorial(n: int) -> float:
 
 
 def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
-    """Evaluate H_n(x): row n of hermite_rows.
+    """Evaluate H_n(x): row n of hermite_rows, on Python floats.
 
     Parameters
     ----------
@@ -82,7 +82,7 @@ def hermite_eval(n: int, x: float, max_order: int = DEFAULT_MAX_ORDER) -> float:
         raise ValueError("Hermite order must be non-negative")
     if n > max_order:
         raise OrderOverflowError(f"Hermite order {n} exceeds max order {max_order}")
-    out = float(hermite_rows(x, n)[n])
+    out = _float_rows(float(x), n)[n]
     if not math.isfinite(out):
         raise DomainError(f"H_{n}({x}) is not finite (NaN or overflow to inf)")
     return out
@@ -100,11 +100,7 @@ def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np
     x = np.asarray(x, dtype=float)
     rows = np.empty((n_max + 1,) + x.shape) if out is None else out
     if x.size == 1:
-        t = x.item()
-        h = [1.0, t]
-        for k in range(1, n_max):
-            h.append(t * h[k] - k * h[k - 1])
-        rows[...] = np.reshape(h[:n_max + 1], rows.shape)
+        rows[...] = np.reshape(_float_rows(x.item(), n_max), rows.shape)
         return rows
     rows[0] = 1.0
     if n_max >= 1:
@@ -116,6 +112,15 @@ def hermite_rows(x: np.ndarray, n_max: int, out: np.ndarray | None = None) -> np
         np.subtract(h[k + 1], h[0], h[k + 1])
     rows[0] = 1.0
     return rows
+
+
+def _float_rows(t: float, n_max: int) -> list[float]:
+    """H_0(t), ..., H_{n_max}(t) on Python floats, with the roundings of
+    hermite_rows: the one value of hermite_eval and of hermite_rows."""
+    h = [1.0, t]
+    for k in range(1, n_max):
+        h.append(t * h[k] - k * h[k - 1])
+    return h[:n_max + 1]
 
 
 def hermite_shift(n: int, a: float) -> dict[int, float]:

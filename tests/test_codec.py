@@ -245,6 +245,141 @@ def test_a_warm_wick_exp_and_translate_allocate_nothing_per_pair(monkeypatch):
         assert kernel < warm_peak(run) + 16 * pairs
 
 
+def test_wick_exp_past_the_kept_range_makes_no_range_arrays():
+    # at K=8 the degrees of wick_exp_I2 run over 17^5 codes, past
+    # _KEPT_CELLS, where the kernel would make its arrays per call: the
+    # route rule prices that, and a warm call allocates less than one array
+    # over the range (two of them, 27 MB, on the array route)
+    M = SymTensor(5, 2, {(i, j): 0.05 + 0.01 * (i + 2 * j) for i in range(5) for j in range(i, 5)})
+    assert 17 ** 5 > chaos._KEPT_CELLS
+    assert warm_peak(lambda: wick_exp_I2(M, K=8)) < 8 * 17 ** 5
+
+
+def test_a_range_past_the_kept_one_is_priced_per_call():
+    # a kept code costs a pair per _CELLS_PER_PAIR codes, a code of arrays
+    # made per call eight times as much; a clipped Wick product at (6,10),
+    # 646,646 pairs over 11^6 codes, keeps the array route
+    per_pair, kept, fresh = chaos._CELLS_PER_PAIR, chaos._KEPT_CELLS, chaos._KEPT_CELLS + 1
+    assert chaos._dense(chaos._CROSSOVER + kept // per_pair, kept)
+    assert not chaos._dense(chaos._CROSSOVER + fresh // per_pair, fresh)
+    assert chaos._dense(chaos._CROSSOVER + fresh // (per_pair // 8), fresh)
+    assert not chaos._dense(chaos._CROSSOVER + fresh // (per_pair // 8) - 1, fresh)
+    degrees = [a for a in range(11) for _ in range(math.comb(a + 5, 5))]
+    assert chaos._wick_pairs(degrees, degrees, 10) == 646646
+    assert chaos._dense(646646, 11 ** 6)
+    assert not chaos._dense(1 << 40, chaos._CELLS + 1)
+
+
+# -- the label boundary: coordinates, codes and new labels ----------------------
+
+def full_scan(stores):
+    return sorted({i for F in stores for a in F.terms for i, _ in a.entries})
+
+
+def last_completes(dim, order):
+    """A store on the coordinates 0..dim-2 whose last label brings in dim - 1."""
+    terms = {MultiIndex([(i % (dim - 1), 1 + i % order)]): 0.5 + i for i in range(3 * dim)}
+    terms[MultiIndex([(dim - 1, 1)])] = 2.0
+    return ChaosVector(dim, order, terms)
+
+
+@st.composite
+def store_sets(draw):
+    """One to three stores of one dim, each dense (an exponential vector on
+    every coordinate), wide and sparse (a few of many coordinates),
+    constant, empty, or one whose last label alone completes dim."""
+    dim = draw(st.sampled_from([1, 2, 3, 5, 40, 1000]))
+    order = draw(st.integers(1, 4 if dim <= 5 else 1))
+    kinds = ["dense", "wide", "constant", "empty"] + (["last"] if dim > 1 else [])
+    out = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "dense":
+            out.append(exponential_vector([0.3 + 0.01 * i for i in range(dim)], order))
+        elif kind == "wide":
+            used = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=16, unique=True))
+            out.append(draw(vectors(dim, order, indices=used)))
+        elif kind == "constant":
+            out.append(ChaosVector.constant(draw(st.floats(-2.0, 2.0)), dim, order))
+        elif kind == "empty":
+            out.append(ChaosVector.zero(dim, order))
+        else:
+            out.append(last_completes(dim, order))
+    return out
+
+
+@SETTINGS
+@given(stores=store_sets())
+def test_coordinates_are_those_of_the_full_scan(stores):
+    # the scan that stops once it has found dim coordinates returns what a
+    # scan of every label entry returns
+    assert chaos._coords(stores) == full_scan(stores)
+
+
+def test_coordinates_of_a_wide_store_and_of_late_coordinates():
+    # 200 labels over 16 of 1,000 coordinates, and a store of ~600 labels
+    # whose last one brings in the last coordinate
+    rng = np.random.default_rng(7)
+    used = rng.choice(1000, 16, replace=False)
+    terms = {}
+    while len(terms) < 200:
+        picked = rng.choice(used, int(rng.integers(1, 4)), replace=False)
+        terms[MultiIndex([(int(i), int(rng.integers(1, 3))) for i in picked])] = 1.0
+    wide = ChaosVector(1000, 6, terms)
+    for stores in ([wide], [wide, wide], [last_completes(200, 3)],
+                   [wide, exponential_vector([0.1] * 1000, 1)]):
+        assert chaos._coords(stores) == full_scan(stores)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_codes_are_bitwise_on_new_and_on_twin_labels(monkeypatch, route):
+    # the codes read straight into int64 fall back to computing them when
+    # the codec lacks a label: a cold codec, one that knows only the labels
+    # of degree <= 2, and labels equal to the known ones but distinct
+    # objects all give the bits and term order of a cold codec
+    crossover, chunk = route
+    monkeypatch.setattr(chaos, "_CROSSOVER", crossover)
+    monkeypatch.setattr(chaos, "_CELLS_PER_PAIR", 1 << 62)
+    monkeypatch.setattr(chaos, "_CHUNK", chunk)
+    F = exponential_vector([0.3, -0.2, 0.1], 5)
+    G = exponential_vector([-0.1, 0.25, 0.2], 5)
+    y = [0.25, -0.5, 0.1]
+    cold()
+    want = results(F, G, y)
+    low = ChaosVector(3, 5, {a: c for a, c in F.items() if a.degree <= 1})
+    twin = [ChaosVector(3, 5, {MultiIndex(a.entries): c for a, c in V.items()}) for V in (F, G)]
+    assert all(a is not b for a, b in zip(F.terms, twin[0].terms))
+    cold()
+    wick_product(low, low, clip=True)  # the codec learns the labels of degree <= 2
+    codec = chaos._codec(6, F)
+    assert 0 < len(codec.code) < F.n_terms()
+    assert chaos._codes(F, codec).tolist() == chaos._coded(F, codec)
+    assert results(F, G, y) == want
+    assert results(*twin, y) == want
+    assert chaos._codes(twin[0], codec).tolist() == chaos._codes(F, codec).tolist()
+
+
+def test_decoding_when_only_some_codes_are_new():
+    # a product whose output codes the codec knows in part: the known
+    # ones read their labels, the others are decoded, in first-visit order
+    E = exponential_vector([0.3, -0.2], 4)
+    cold()
+    want = bits(wick_product(E, E, clip=True))
+    low = ChaosVector(2, 4, {a: c for a, c in E.items() if a.degree <= 1})
+    cold()
+    wick_product(low, low, clip=True)
+    codec = chaos._codec(5, E)
+    known = set(codec.label)
+    assert bits(wick_product(E, E, clip=True)) == want
+    assert known < set(codec.label)
+    out = {code: 1.0 for code in sorted(set(codec.label))}
+    cold()
+    decoded = chaos._decoded(dict(out), chaos._codec(5, E), 2, 4, ChaosVector)
+    cold()
+    codec = chaos._codec(5, E)
+    codec.learn(*zip(*[(a, code) for a, code in zip(decoded.terms, out) if code in known]))
+    assert bits(chaos._decoded(dict(out), codec, 2, 4, ChaosVector)) == bits(decoded)
+
+
 def test_codecs_are_made_on_first_use():
     src = os.path.dirname(os.path.dirname(chaos.__file__))
     out = subprocess.run(

@@ -289,6 +289,18 @@ def test_eval_of_order_0_is_one_everywhere():
     assert hermite_eval(60, 1e5) == float(hermite_rows(np.array(1e5), 60)[60])
 
 
+def test_eval_is_bitwise_a_row_of_the_table():
+    # hermite_eval runs the table's one-value recurrence on Python floats:
+    # every finite value is the table's to the bit, for float, int and
+    # numpy scalar points
+    rng = np.random.default_rng(3)
+    points = [0.0, -0.0, 5e-324, 1.0, -2.5, 7, np.float64(0.3)] + list(rng.normal(size=20) * 6)
+    for x in points:
+        table = hermite_rows(np.array(x, dtype=float), 64)
+        for n in range(65):
+            assert np.float64(hermite_eval(n, x)).tobytes() == table[n].tobytes()
+
+
 def test_mean_of_hermite_is_zero():
     for n in range(1, 9):
         assert abs(expect_1d(lambda x, n=n: hermite_np(n, x))) < 1e-9

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wickchaos import chaos
@@ -512,8 +512,16 @@ def wick_exp_cases(draw):
 WICK_EXP_ROUTES = [(0, 3), (0, 1 << 15), (1 << 62, 1 << 15)]
 
 
+def i2_exponent(dim):
+    """I_2(M)/2 - tr M/2 for a fixed symmetric M, as wick_exp_I2 sets it."""
+    f = SymTensor(dim, 2, {(i, j): 0.05 + 0.01 * (i + 2 * j)
+                           for i in range(dim) for j in range(i, dim)})
+    return scale(from_tensor(f), 0.5) - 0.5 * sum(f.value((i, i)) for i in range(dim))
+
+
 @SETTINGS
 @given(case=wick_exp_cases())
+@example(case=(i2_exponent(5), 12))  # 13^5 codes: past _KEPT_CELLS, arrays made per call
 def test_wick_exp_routes_agree_bitwise(case):
     # every degree of two or more pairs on the array route, in chunks of
     # three pairs and of 2^15, gives the coefficients of the dict loop to
